@@ -8,7 +8,6 @@ stdout are deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import families, formats, report, semiflow
@@ -28,15 +27,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _thread_count():
-    raw = os.environ.get("FINFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-numeric FINFLOW_THREADS={raw!r}", file=sys.stderr)
-        return 1
 
 
 def _load(path):
@@ -98,7 +88,7 @@ def _cmd_analyze(args):
 
 def _cmd_semiflows(args):
     p = _load(args.file)
-    flows = semiflow.enumerate_semiflows(p, max_n=_limit(args), threads=_thread_count())
+    flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
     if args.oracle:
         oracle = semiflow.brute_force_oracle(p, max_n=args.limit)
         if [sf.retraction.values for sf in flows] != [m.values for m in oracle]:
@@ -138,7 +128,7 @@ def _cmd_dot(args):
     p = _load(args.file)
     annotate = None
     if args.semiflow is not None:
-        flows = semiflow.enumerate_semiflows(p, max_n=_limit(args), threads=_thread_count())
+        flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
         if not 0 <= args.semiflow < len(flows):
             print(f"error: semiflow index out of range (0..{len(flows) - 1})", file=sys.stderr)
             return EXIT_INPUT

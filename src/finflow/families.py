@@ -111,6 +111,10 @@ def random_poset(n, edge_prob, seed):
 
 def random_corpus(count, max_n, seed):
     """Fixed-seed list of random posets with 1..max_n elements."""
+    if count < 0:
+        raise InvalidSpecError(f"random corpus needs count >= 0 (got {count})")
+    if max_n < 1:
+        raise InvalidSpecError(f"random corpus needs max_n >= 1 (got {max_n})")
     rng = Xorshift64Star(seed)
     out = []
     for _ in range(count):

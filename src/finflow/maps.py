@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SizeLimitError
-from .poset import elements_of
+from .poset import _scan_order, elements_of
 
 FENCE_BUDGET = 50_000
 
@@ -144,10 +144,6 @@ class MonotoneMap:
         so nothing further needs checking.
         """
         return self.below_identity() and self.is_idempotent()
-
-
-def _scan_order(poset):
-    return sorted(range(poset.n), key=lambda x: (poset.heights[x], x))
 
 
 def monotone_self_maps(poset, limit=None):

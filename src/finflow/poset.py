@@ -35,6 +35,15 @@ def elements_of(mask):
     return out
 
 
+def _scan_order(p):
+    """Element indices by increasing height, ties by index.
+
+    Everything below an element comes before it, which is what the
+    backtracking map enumerators rely on.
+    """
+    return sorted(range(p.n), key=lambda x: (p.heights[x], x))
+
+
 class Poset:
     """Immutable finite poset over labelled elements.
 

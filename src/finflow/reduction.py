@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import elements_of
+from .poset import elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -109,59 +109,57 @@ def _height_ok(h, floor, strict_heights):
     return h > floor or (not strict_heights and h == floor)
 
 
+def _removal_search(p, strict_heights=False, max_n=None, stop=None):
+    """Potential down beat points, each mapped to its witness sequence.
+
+    Depth-first over removal states keyed by (remaining set, height floor),
+    where heights are always taken in the original space.  Candidates are
+    tried in ascending index order and every state is expanded once; the
+    first time a point is removed, the path that removed it is recorded as
+    its witness.  With ``stop`` given, the search ends as soon as that point
+    has its witness.
+    """
+    _check_search_size(p, max_n)
+    witnesses = {}
+    _extend(p, strict_heights, p.full_mask, -1, [], set(), witnesses, stop)
+    return witnesses
+
+
+# A module-level function, not a nested one: a recursive closure is a
+# reference cycle that keeps ``seen`` alive until the cycle collector runs.
+def _extend(p, strict_heights, alive, floor, path, seen, witnesses, stop):
+    """Search on from one state; True once ``stop`` has a witness."""
+    for x in elements_of(_down_beats_within(p, alive)):
+        h = p.heights[x]
+        if not _height_ok(h, floor, strict_heights):
+            continue
+        path.append(x)
+        if x not in witnesses:
+            witnesses[x] = RemovalSequence(path, [p.heights[y] for y in path])
+            if x == stop:
+                return True
+        state = (alive & ~(1 << x), h)
+        if state not in seen:
+            seen.add(state)
+            if _extend(p, strict_heights, *state, path, seen, witnesses, stop):
+                return True
+        path.pop()
+    return False
+
+
 def potential_down_beat_points(p, strict_heights=False, max_n=None):
     """Points removable by some height-ordered sequence of down-beat deletions.
 
-    Depth-first over removal states keyed by (remaining set, height floor),
-    where heights are always taken in the original space.  By default later
-    removals may repeat a height; ``strict_heights`` forces strictly
-    increasing heights instead (the two readings differ only in whether two
-    equal-height points may share one sequence).
+    By default later removals may repeat a height; ``strict_heights`` forces
+    strictly increasing heights instead (the two readings differ only in
+    whether two equal-height points may share one sequence).
     """
-    _check_search_size(p, max_n)
-    potential = 0
-    seen = set()
-    stack = [(p.full_mask, -1)]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        alive, floor = state
-        for x in elements_of(_down_beats_within(p, alive)):
-            h = p.heights[x]
-            if _height_ok(h, floor, strict_heights):
-                potential |= 1 << x
-                stack.append((alive & ~(1 << x), h))
-    return potential
+    return mask_of(_removal_search(p, strict_heights, max_n))
 
 
 def removal_sequence_for(p, y, strict_heights=False, max_n=None):
     """A witness sequence ending at ``y``, or None if ``y`` is not potential."""
-    _check_search_size(p, max_n)
-    dead = set()
-    path = []
-
-    def dfs(alive, floor):
-        for x in elements_of(_down_beats_within(p, alive)):
-            h = p.heights[x]
-            if not _height_ok(h, floor, strict_heights):
-                continue
-            path.append(x)
-            if x == y:
-                return True
-            state = (alive & ~(1 << x), h)
-            if state not in dead:
-                if dfs(*state):
-                    return True
-                dead.add(state)
-            path.pop()
-        return False
-
-    if not dfs(p.full_mask, -1):
-        return None
-    pts = tuple(path)
-    return RemovalSequence(pts, tuple(p.heights[x] for x in pts))
+    return _removal_search(p, strict_heights, max_n, stop=y).get(y)
 
 
 def validate_removal_sequence(p, seq, strict_heights=False):

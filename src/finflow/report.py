@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import reduction, semiflow
 from .errors import SchemaError
-from .poset import elements_of
+from .poset import mask_of
 
 SCHEMA_VERSION = 1
 
@@ -63,26 +63,23 @@ class AnalysisReport:
 def analyze(p, max_n=None):
     """Full report: beat structure, core, potential points, semiflow census."""
     flows = semiflow.enumerate_semiflows(p, max_n=max_n)
-    checks = semiflow.verify_counting_results(p, max_n=max_n, flows=flows)
+    down = reduction.down_beat_points(p)
+    up = reduction.up_beat_points(p)
+    witnesses = reduction._removal_search(p, max_n=max_n)
+    checks = semiflow._counting_checks(p, flows, down, mask_of(witnesses))
     core_poset, trace = reduction.core(p)
-    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
-    witnesses = []
-    for x in elements_of(pot_mask):
-        seq = reduction.removal_sequence_for(p, x, max_n=max_n)
-        witnesses.append({
-            "point": p.labels[x],
-            "witness": [p.labels[i] for i in seq.points],
-        })
     return AnalysisReport(
         labels=list(p.labels),
         covers=[[p.labels[a], p.labels[b]] for a, b in p.covers],
         heights=list(p.heights),
-        down_beat_points=p.labels_of(reduction.down_beat_points(p)),
-        up_beat_points=p.labels_of(reduction.up_beat_points(p)),
-        is_minimal=reduction.is_minimal_space(p),
+        down_beat_points=p.labels_of(down),
+        up_beat_points=p.labels_of(up),
+        is_minimal=(down | up) == 0,
         core_labels=list(core_poset.labels),
         core_trace=[p.labels[x] for x in trace],
-        potential_points=witnesses,
+        potential_points=[
+            {"point": p.labels[x], "witness": [p.labels[i] for i in witnesses[x].points]}
+            for x in sorted(witnesses)],
         s_f=len(flows),
         nontrivial_semiflows=[sf.moves() for sf in flows if not sf.trivial],
         bounds_checked=[{"name": c.name, "satisfied": c.satisfied, "detail": c.detail}

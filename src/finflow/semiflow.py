@@ -11,15 +11,14 @@ lower sets open) and the semigroup law is exactly idempotence.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import reduction
 from .errors import NegativeTimeError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import elements_of
-from .prng import Xorshift64Star
+from .poset import _scan_order, elements_of, mask_of
 
 ENUMERATION_LIMIT = 14
 ORACLE_LIMIT = 10
@@ -47,8 +46,8 @@ class Semiflow:
 
     def evaluate(self, t, x):
         """State reached from ``x`` after time ``t``."""
-        if t < 0:
-            raise NegativeTimeError(f"time must be non-negative, got {t}")
+        if not 0 <= t < math.inf:
+            raise NegativeTimeError("time must be a finite non-negative number")
         return x if t == 0 else self.retraction.values[x]
 
     def moves(self):
@@ -68,36 +67,28 @@ class Semiflow:
         return f"Semiflow({moves!r})" if moves else "Semiflow(trivial)"
 
 
-def semigroup_law_check(sf, sample_count=20, seed=0):
-    """Check ``evaluate(s, evaluate(t, x)) == evaluate(s + t, x)`` on samples.
+def semigroup_law_check(sf):
+    """Check ``evaluate(s, evaluate(t, x)) == evaluate(s + t, x)`` exactly.
 
-    Deterministic for a fixed seed and always includes the boundary pairs
-    with s = 0, t = 0 and s = t.  Works on hand-built flows that skipped
-    validation, which is the point: at s, t > 0 the law is exactly
-    idempotence of the time-positive map, and this check does not assume it.
+    ``evaluate`` depends on a time only through whether it is zero, so the
+    four classes ``(s, t)`` in ``{0, 1}**2`` stand for every pair of
+    non-negative times.  Works on hand-built flows that skipped validation,
+    which is the point: at s, t > 0 the law is exactly idempotence of the
+    time-positive map, and this check does not assume it.
     """
-    rng = Xorshift64Star(seed)
-    pairs = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    while len(pairs) < sample_count:
-        s = 0.0 if rng.next_int(4) == 0 else rng.next_float() * 10.0
-        t = 0.0 if rng.next_int(4) == 0 else rng.next_float() * 10.0
-        pairs.append((s, t))
-    for s, t in pairs:
-        for x in range(sf.space.n):
-            if sf.evaluate(s, sf.evaluate(t, x)) != sf.evaluate(s + t, x):
-                return False
+    for s in (0, 1):
+        for t in (0, 1):
+            for x in range(sf.space.n):
+                if sf.evaluate(s, sf.evaluate(t, x)) != sf.evaluate(s + t, x):
+                    return False
     return True
 
 
 # -- enumeration ------------------------------------------------------------
 
 
-def _scan_order(p):
-    return sorted(range(p.n), key=lambda x: (p.heights[x], x))
-
-
-def _complete(p, order, prefix):
-    """All full assignments extending ``prefix`` (values for order[:len(prefix)]).
+def _complete(p, order):
+    """Every valid value table, assigning the elements in ``order``.
 
     Elements are assigned in increasing height, so everything below the
     current element is already decided.  A candidate image for x is any
@@ -107,8 +98,6 @@ def _complete(p, order, prefix):
     """
     n = p.n
     values = [-1] * n
-    for pos, y in enumerate(prefix):
-        values[order[pos]] = y
     out = []
 
     def assign(k):
@@ -130,53 +119,21 @@ def _complete(p, order, prefix):
                 assign(k + 1)
         values[x] = -1
 
-    assign(len(prefix))
+    assign(0)
     return out
 
 
-def _split_prefixes(p, order, want):
-    """Valid assignment prefixes to hand out to parallel workers."""
-    prefixes = [()]
-    k = 0
-    while k < p.n and len(prefixes) < want:
-        nxt = []
-        for pre in prefixes:
-            values = [-1] * p.n
-            for pos, y in enumerate(pre):
-                values[order[pos]] = y
-            x = order[k]
-            lows = p.lower_covers(x)
-            for y in elements_of(p.down_set(x)):
-                if y != x and values[y] != y:
-                    continue
-                if all(p.leq(values[w], y) for w in lows):
-                    nxt.append(pre + (y,))
-        prefixes = nxt
-        k += 1
-    return prefixes
-
-
-def enumerate_semiflows(p, max_n=None, threads=1):
+def enumerate_semiflows(p, max_n=None):
     """Every semiflow on ``p``, canonically ordered.
 
     Returns one Semiflow per idempotent monotone map below the identity,
-    the trivial one included, sorted lexicographically by value table.  The
-    output is identical for every thread count: workers split on assignment
-    prefixes and the merged result is re-sorted.
+    the trivial one included, sorted lexicographically by value table.
     """
     limit = ENUMERATION_LIMIT if max_n is None else max_n
     if p.n > limit:
         raise SizeLimitError(f"semiflow enumeration limited to {limit} elements (got {p.n})")
-    order = _scan_order(p)
-    if threads and threads > 1 and p.n:
-        prefixes = _split_prefixes(p, order, want=threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda pre: _complete(p, order, pre), prefixes))
-        tuples = [v for chunk in chunks for v in chunk]
-    else:
-        tuples = _complete(p, order, ())
-    tuples.sort()
-    return [Semiflow(p, MonotoneMap(p, v), validate=False) for v in tuples]
+    return [Semiflow(p, MonotoneMap(p, v), validate=False)
+            for v in sorted(_complete(p, _scan_order(p)))]
 
 
 def brute_force_oracle(p, max_n=None):
@@ -235,8 +192,11 @@ def max_disjoint_antichain(p, max_n=None):
     Disjoint down-sets force incomparability, so the result is an antichain
     automatically.  Exhaustive branch-and-bound over the potential points.
     """
-    pot = reduction.potential_down_beat_points(p, max_n=max_n)
-    cands = elements_of(pot)
+    return _max_disjoint(p, reduction.potential_down_beat_points(p, max_n=max_n))
+
+
+def _max_disjoint(p, pot_mask):
+    cands = elements_of(pot_mask)
     best = 0
 
     def grow(i, chosen, union_down):
@@ -260,10 +220,13 @@ def verify_counting_results(p, max_n=None, flows=None):
     """Evaluate the counting claims; failures carry a counterexample payload."""
     if flows is None:
         flows = enumerate_semiflows(p, max_n=max_n)
+    return _counting_checks(p, flows, reduction.down_beat_points(p),
+                            reduction.potential_down_beat_points(p, max_n=max_n))
+
+
+def _counting_checks(p, flows, d_mask, pot_mask):
     s_f = len(flows)
-    d_mask = reduction.down_beat_points(p)
     d_size = d_mask.bit_count()
-    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
     checks = []
 
     ok = (d_mask == 0) == (s_f == 1)
@@ -276,7 +239,7 @@ def verify_counting_results(p, max_n=None, flows=None):
         "count_at_least_two_pow_down_beats", ok,
         f"s_f={s_f} vs 2^{d_size}={2 ** d_size}"))
 
-    a_mask = max_disjoint_antichain(p, max_n=max_n)
+    a_mask = _max_disjoint(p, pot_mask)
     a_size = a_mask.bit_count()
     ok = s_f >= 2 ** a_size
     checks.append(BoundCheck(
@@ -322,13 +285,14 @@ def verify_counting_results(p, max_n=None, flows=None):
 def count_semiflows(p, max_n=None):
     """Semiflow census with the counting claims evaluated alongside."""
     flows = enumerate_semiflows(p, max_n=max_n)
-    checks = verify_counting_results(p, max_n=max_n, flows=flows)
+    d_mask = reduction.down_beat_points(p)
+    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
     return CountReport(
         s_f=len(flows),
         nontrivial=len(flows) - 1,
-        d_size=reduction.down_beat_points(p).bit_count(),
-        potential=reduction.potential_down_beat_points(p, max_n=max_n).bit_count(),
-        bounds_checked=checks,
+        d_size=d_mask.bit_count(),
+        potential=pot_mask.bit_count(),
+        bounds_checked=_counting_checks(p, flows, d_mask, pot_mask),
     )
 
 
@@ -344,19 +308,22 @@ def assert_flow_triviality(p, max_n=None):
     return True
 
 
-def full_verification(p, max_n=None, include_oracle=True, law_samples=20, law_seed=2024):
+def full_verification(p, max_n=None, include_oracle=True):
     """Counting claims plus the structural-law and cross-check suite.
 
     This is what the CLI ``verify`` command runs; every entry must be
     satisfied on any input.
     """
     flows = enumerate_semiflows(p, max_n=max_n)
-    checks = list(verify_counting_results(p, max_n=max_n, flows=flows))
+    d_mask = reduction.down_beat_points(p)
+    witnesses = reduction._removal_search(p, max_n=max_n)
+    pot_mask = mask_of(witnesses)
+    checks = _counting_checks(p, flows, d_mask, pot_mask)
 
-    ok = all(semigroup_law_check(sf, law_samples, law_seed) for sf in flows)
+    ok = all(semigroup_law_check(sf) for sf in flows)
     checks.append(BoundCheck(
-        "semigroup_law_sampled", ok,
-        f"{len(flows)} semiflows x {law_samples} time pairs"))
+        "semigroup_law", ok,
+        f"{len(flows)} semiflows x 4 time classes"))
 
     ok = all(
         (p.down_set(x) >> sf.evaluate(t, x)) & 1
@@ -385,8 +352,6 @@ def full_verification(p, max_n=None, include_oracle=True, law_samples=20, law_se
         "core_minimal", reduction.is_minimal_space(core_poset),
         f"core of size {core_poset.n} after {len(trace)} removals"))
 
-    d_mask = reduction.down_beat_points(p)
-    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
     checks.append(BoundCheck(
         "down_beats_are_potential", d_mask & ~pot_mask == 0,
         f"D={p.labels_of(d_mask)} potential={p.labels_of(pot_mask)}"))
@@ -399,11 +364,7 @@ def full_verification(p, max_n=None, include_oracle=True, law_samples=20, law_se
         "every potential point is a down beat or has one strictly below"))
 
     ok = True
-    for x in elements_of(pot_mask):
-        seq = reduction.removal_sequence_for(p, x, max_n=max_n)
-        if seq is None:
-            ok = False
-            break
+    for x, seq in witnesses.items():
         r = reduction.retraction_from_sequence(p, seq)
         if not r.is_strong_deformation_retraction() or r.values[x] == x:
             ok = False

@@ -1,0 +1,39 @@
+"""CLI stdout against output recorded before the semigroup-law check
+became exact.
+
+The inputs in ``golden/`` were made with ``finflow gen example_3_1``,
+``finflow gen x_n --n 2`` and ``finflow gen random --n 9 --p 0.4 --seed 17``.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from finflow import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+SPACES = ["example_3_1", "x_2", "random9"]
+
+
+def run(capsys, *argv):
+    assert cli.run_cli([*argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_analyze_output_unchanged(capsys, name):
+    out = run(capsys, "analyze", str(GOLDEN / f"{name}.txt"))
+    assert out == (GOLDEN / f"{name}.analyze.out").read_text()
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_verify_output_unchanged_but_for_the_law_line(capsys, name):
+    out = run(capsys, "verify", str(GOLDEN / f"{name}.txt"))
+    old = (GOLDEN / f"{name}.verify.out").read_text()
+    # the sampled semigroup-law check became the exact four-class check
+    want, renamed = re.subn(
+        r"^PASS semigroup_law_sampled: (\d+) semiflows x 20 time pairs$",
+        r"PASS semigroup_law: \1 semiflows x 4 time classes", old, flags=re.M)
+    assert renamed == 1
+    assert out == want
