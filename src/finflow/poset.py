@@ -44,6 +44,68 @@ def _scan_order(p):
     return sorted(range(p.n), key=lambda x: (p.heights[x], x))
 
 
+def _top(above, below, s):
+    """The element of ``s`` that every element of ``s`` reaches, or None.
+
+    With ``above`` the up-sets (and ``below`` the down-sets) this is the
+    maximum of ``s``; with the tables swapped it is the minimum.  ``acc``
+    keeps the members of ``s`` above everything seen so far, and by
+    antisymmetry at most one survives.  Members below a seen element are
+    skipped: their up-sets contain its up-set, so they cannot shrink ``acc``.
+    """
+    acc = todo = s
+    while todo:
+        low = todo & -todo
+        z = low.bit_length() - 1
+        acc &= above[z]
+        if not acc:
+            return None
+        todo &= ~below[z]
+    return acc.bit_length() - 1 if acc else None
+
+
+def _extremal(below, mask):
+    """Members of ``mask`` with nothing of ``mask`` strictly above them.
+
+    ``below`` holds the down-sets for maximal elements and the up-sets for
+    minimal ones.  A member already known to be dominated is skipped: what
+    lies under it lies under its dominator, whose row is already merged.
+    """
+    dominated = 0
+    todo = mask
+    while todo:
+        low = todo & -todo
+        dominated |= below[low.bit_length() - 1] ^ low
+        todo &= ~dominated
+        todo ^= low
+    return mask & ~dominated
+
+
+def _cycle_error(labels, adj, indeg):
+    """CycleError naming two elements of one cycle.
+
+    ``indeg`` is left over from a topological pass that stalled: every
+    element it still counts has an unsorted predecessor, so walking back
+    along those predecessors must revisit an element, and the walk from
+    there on is a cycle.
+    """
+    left = mask_of(x for x, d in enumerate(indeg) if d)
+    preds = [0] * len(labels)
+    for w in elements_of(left):
+        for y in elements_of(adj[w] & left):
+            preds[y] |= 1 << w
+    walk, seen = [], {}
+    x = (left & -left).bit_length() - 1
+    while x not in seen:
+        seen[x] = len(walk)
+        walk.append(x)
+        x = (preds[x] & -preds[x]).bit_length() - 1
+    cycle = walk[seen[x]:]  # cycle[i + 1] < cycle[i], and cycle[0] < cycle[-1]
+    i = cycle.index(min(cycle))
+    a, b = labels[cycle[i]], labels[cycle[i - 1]]
+    return CycleError(f"{a!r} < {b!r} and {b!r} < {a!r}")
+
+
 class Poset:
     """Immutable finite poset over labelled elements.
 
@@ -85,15 +147,20 @@ class Poset:
         self._down = down
         self._up = tuple(up)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self.covers = self._transitive_reduction()
-        self.heights = self._compute_heights()
-        lower = [[] for _ in range(n)]
+        lower = [elements_of(_extremal(down, down[b] ^ (1 << b))) for b in range(n)]
         upper = [[] for _ in range(n)]
-        for a, b in self.covers:
-            lower[b].append(a)
-            upper[a].append(b)
+        for b in range(n):
+            for a in lower[b]:
+                upper[a].append(b)
+        self.covers = tuple(sorted((a, b) for b in range(n) for a in lower[b]))
         self._lower_covers = tuple(tuple(v) for v in lower)
         self._upper_covers = tuple(tuple(v) for v in upper)
+        # |down_set| grows strictly along <, so this order is topological
+        ht = [0] * n
+        for x in sorted(range(n), key=lambda x: down[x].bit_count()):
+            if lower[x]:
+                ht[x] = 1 + max(ht[a] for a in lower[x])
+        self.heights = tuple(ht)
 
     @classmethod
     def from_relations(cls, labels, pairs):
@@ -121,51 +188,24 @@ class Poset:
             if ia == ib:
                 raise CycleError(f"{a!r} < {b!r} violates antisymmetry")
             adj[ia] |= 1 << ib
-        up = list(adj)
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                acc = up[x]
-                for y in elements_of(acc):
-                    acc |= up[y]
-                if acc != up[x]:
-                    up[x] = acc
-                    changed = True
+        # One Kahn pass in topological order: every predecessor of y is
+        # final before y is taken, so down[y] |= down[x] along each pair
+        # gives the reflexive-transitive closure.
+        indeg = [0] * n
         for x in range(n):
-            if (up[x] >> x) & 1:
-                for y in elements_of(up[x]):
-                    if y != x and (up[y] >> x) & 1:
-                        raise CycleError(
-                            f"{labels[x]!r} < {labels[y]!r} and "
-                            f"{labels[y]!r} < {labels[x]!r}")
-                raise CycleError(f"cycle through {labels[x]!r}")
+            for y in elements_of(adj[x]):
+                indeg[y] += 1
         down = [1 << x for x in range(n)]
-        for x in range(n):
-            for y in elements_of(up[x]):
-                down[y] |= 1 << x
+        ready = [x for x in range(n) if indeg[x] == 0]
+        for x in ready:
+            for y in elements_of(adj[x]):
+                down[y] |= down[x]
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    ready.append(y)
+        if len(ready) < n:
+            raise _cycle_error(labels, adj, indeg)
         return cls(labels, down)
-
-    def _transitive_reduction(self):
-        covers = []
-        for b in range(self.n):
-            below = self._down[b] & ~(1 << b)
-            for a in elements_of(below):
-                between = (self._up[a] & ~(1 << a)) & below
-                if between == 0:
-                    covers.append((a, b))
-        covers.sort()
-        return tuple(covers)
-
-    def _compute_heights(self):
-        # |down_set| grows strictly along <, so this order is topological
-        order = sorted(range(self.n), key=lambda x: self._down[x].bit_count())
-        ht = [0] * self.n
-        for x in order:
-            below = self._down[x] & ~(1 << x)
-            if below:
-                ht[x] = 1 + max(ht[y] for y in elements_of(below))
-        return tuple(ht)
 
     # -- lookups ---------------------------------------------------------
 
@@ -224,35 +264,17 @@ class Poset:
     # -- subset operations -------------------------------------------------
 
     def maximal_elements(self, mask):
-        out = 0
-        for x in elements_of(mask):
-            if self.strict_up(x) & mask == 0:
-                out |= 1 << x
-        return out
+        return _extremal(self._down, mask)
 
     def minimal_elements(self, mask):
-        out = 0
-        for x in elements_of(mask):
-            if self.strict_down(x) & mask == 0:
-                out |= 1 << x
-        return out
+        return _extremal(self._up, mask)
 
     def maximum_of(self, mask):
-        """Unique top of ``mask``, or None.
-
-        In a finite poset a unique maximal element is automatically the
-        maximum, so one uniqueness check suffices.
-        """
-        m = self.maximal_elements(mask)
-        if m and m & (m - 1) == 0:
-            return m.bit_length() - 1
-        return None
+        """Unique top of ``mask``, or None."""
+        return _top(self._up, self._down, mask)
 
     def minimum_of(self, mask):
-        m = self.minimal_elements(mask)
-        if m and m & (m - 1) == 0:
-            return m.bit_length() - 1
-        return None
+        return _top(self._down, self._up, mask)
 
     def is_lower_set(self, mask):
         for x in elements_of(mask):

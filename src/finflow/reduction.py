@@ -36,22 +36,50 @@ class RemovalSequence:
         return len(self.points)
 
 
+def _down_beat(p, x, alive):
+    """Whether the strict down-set of ``x`` within ``alive`` has a maximum."""
+    return p.maximum_of(p.down_set(x) & alive & ~(1 << x)) is not None
+
+
+def _up_beat(p, x, alive):
+    """Whether the strict up-set of ``x`` within ``alive`` has a minimum."""
+    return p.minimum_of(p.up_set(x) & alive & ~(1 << x)) is not None
+
+
 def _down_beats_within(p, alive):
-    out = 0
-    for x in elements_of(alive):
-        s = p.strict_down(x) & alive
-        if s and p.maximum_of(s) is not None:
-            out |= 1 << x
-    return out
+    return mask_of(x for x in elements_of(alive) if _down_beat(p, x, alive))
 
 
 def _up_beats_within(p, alive):
-    out = 0
-    for x in elements_of(alive):
-        s = p.strict_up(x) & alive
-        if s and p.minimum_of(s) is not None:
-            out |= 1 << x
-    return out
+    return mask_of(x for x in elements_of(alive) if _up_beat(p, x, alive))
+
+
+# Whether a point is a down beat point depends only on the maximal elements
+# of its strict down-set, and deleting a point that is not one of them leaves
+# them as they were.  So deleting ``x`` can change only the down-beat status
+# of the points covering ``x`` and the up-beat status of the points ``x``
+# covers; the two functions below test only those again.
+
+def _down_beats_after(p, down, alive, x):
+    """Down beat points of ``alive`` without ``x``, from ``down``, those of ``alive``."""
+    alive &= ~(1 << x)
+    covering = p.minimal_elements(p.up_set(x) & alive)
+    down &= alive & ~covering
+    for y in elements_of(covering):
+        if _down_beat(p, y, alive):
+            down |= 1 << y
+    return down
+
+
+def _up_beats_after(p, up, alive, x):
+    """Up beat points of ``alive`` without ``x``, from ``up``, those of ``alive``."""
+    alive &= ~(1 << x)
+    covered = p.maximal_elements(p.down_set(x) & alive)
+    up &= alive & ~covered
+    for y in elements_of(covered):
+        if _up_beat(p, y, alive):
+            up |= 1 << y
+    return up
 
 
 def down_beat_points(p):
@@ -74,8 +102,7 @@ def is_minimal_space(p):
 
 def down_cover(p, x):
     """The maximum below a down beat point; None for anything else."""
-    s = p.strict_down(x)
-    return p.maximum_of(s) if s else None
+    return p.maximum_of(p.strict_down(x))
 
 
 def core(p):
@@ -84,17 +111,24 @@ def core(p):
     Always removes the lowest-index beat point of the current subspace, so
     the trace is reproducible; the result is unique up to isomorphism.
     Returns ``(core_poset, trace)`` with the trace in original indices and
-    labels retained on the core.
+    labels retained on the core; a space without beat points is returned
+    as it is.  Each deletion tests again only the points next to the deleted
+    one (see ``_down_beats_after``).
     """
     alive = p.full_mask
+    down = _down_beats_within(p, alive)
+    up = _up_beats_within(p, alive)
+    beats = down | up
     trace = []
-    while True:
-        beats = _down_beats_within(p, alive) | _up_beats_within(p, alive)
-        if not beats:
-            break
+    while beats:
         x = (beats & -beats).bit_length() - 1
+        down = _down_beats_after(p, down, alive, x)
+        up = _up_beats_after(p, up, alive, x)
         alive &= ~(1 << x)
+        beats = down | up
         trace.append(x)
+    if not trace:
+        return p, trace
     sub, _ = p.induced(alive)
     return sub, trace
 
@@ -121,15 +155,21 @@ def _removal_search(p, strict_heights=False, max_n=None, stop=None):
     """
     _check_search_size(p, max_n)
     witnesses = {}
-    _extend(p, strict_heights, p.full_mask, -1, [], set(), witnesses, stop)
-    return witnesses
-
-
-# A module-level function, not a nested one: a recursive closure is a
-# reference cycle that keeps ``seen`` alive until the cycle collector runs.
-def _extend(p, strict_heights, alive, floor, path, seen, witnesses, stop):
-    """Search on from one state; True once ``stop`` has a witness."""
-    for x in elements_of(_down_beats_within(p, alive)):
+    seen = set()
+    path = []
+    # One frame per state on the path: its down beat points and the ones it
+    # has left to try.  ``path`` holds the point removed to reach each state
+    # but the first.
+    down = _down_beats_within(p, p.full_mask)
+    stack = [(p.full_mask, -1, down, iter(elements_of(down)))]
+    while stack:
+        alive, floor, down, todo = stack[-1]
+        x = next(todo, None)
+        if x is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
         h = p.heights[x]
         if not _height_ok(h, floor, strict_heights):
             continue
@@ -137,14 +177,15 @@ def _extend(p, strict_heights, alive, floor, path, seen, witnesses, stop):
         if x not in witnesses:
             witnesses[x] = RemovalSequence(path, [p.heights[y] for y in path])
             if x == stop:
-                return True
+                break
         state = (alive & ~(1 << x), h)
-        if state not in seen:
-            seen.add(state)
-            if _extend(p, strict_heights, *state, path, seen, witnesses, stop):
-                return True
-        path.pop()
-    return False
+        if state in seen:
+            path.pop()
+            continue
+        seen.add(state)
+        after = _down_beats_after(p, down, alive, x)
+        stack.append((*state, after, iter(elements_of(after))))
+    return witnesses
 
 
 def potential_down_beat_points(p, strict_heights=False, max_n=None):
@@ -180,8 +221,7 @@ def validate_removal_sequence(p, seq, strict_heights=False):
         if not _height_ok(h, floor, strict_heights):
             kind = "strictly increasing" if strict_heights else "nondecreasing"
             raise InvalidSequenceError(f"heights must be {kind} (step {step})")
-        s = p.strict_down(x) & alive
-        if not s or p.maximum_of(s) is None:
+        if not _down_beat(p, x, alive):
             raise InvalidSequenceError(
                 f"{p.labels[x]!r} is not a down beat point at step {step}")
         alive &= ~(1 << x)

@@ -97,30 +97,34 @@ def _complete(p, order):
     fixed points is what enforces idempotence structurally.
     """
     n = p.n
+    if n == 0:
+        return [()]
     values = [-1] * n
     out = []
-
-    def assign(k):
-        if k == n:
-            out.append(tuple(values))
-            return
+    # stack[k] iterates the candidate images of order[k]
+    stack = [iter(_images(p, values, order[0]))]
+    while stack:
+        k = len(stack) - 1
         x = order[k]
-        lows = p.lower_covers(x)
-        for y in elements_of(p.down_set(x)):
-            if y != x and values[y] != y:
-                continue
-            ok = True
-            for w in lows:
-                if not p.leq(values[w], y):
-                    ok = False
-                    break
-            if ok:
-                values[x] = y
-                assign(k + 1)
-        values[x] = -1
-
-    assign(0)
+        y = next(stack[-1], None)
+        if y is None:
+            values[x] = -1
+            stack.pop()
+            continue
+        values[x] = y
+        if k + 1 == n:
+            out.append(tuple(values))
+        else:
+            stack.append(iter(_images(p, values, order[k + 1])))
     return out
+
+
+def _images(p, values, x):
+    """Candidate images of ``x`` once everything below it has a value."""
+    allowed = p.down_set(x)
+    for w in p.lower_covers(x):
+        allowed &= p.up_set(values[w])
+    return [y for y in elements_of(allowed) if y == x or values[y] == y]
 
 
 def enumerate_semiflows(p, max_n=None):

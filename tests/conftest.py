@@ -1,5 +1,6 @@
 import pytest
 
+import helpers
 from finflow import enumerate_semiflows, families
 
 # One fixed-seed corpus shared by the property and acceptance suites.
@@ -17,3 +18,9 @@ def corpus():
 def corpus_flows(corpus):
     """(poset, enumerated semiflows) pairs, computed once per session."""
     return [(p, enumerate_semiflows(p)) for p in corpus]
+
+
+@pytest.fixture(scope="session")
+def shuffled_spaces():
+    """Shuffled ``(labels, pairs)`` of 20-200-point posets, built once."""
+    return helpers.shuffled_spaces(60, 2026)

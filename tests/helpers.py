@@ -5,6 +5,7 @@ subset enumeration instead of the DP, monotonicity over all pairs instead
 of covers, lower sets straight from the definition.
 """
 
+import random
 from itertools import combinations
 
 from finflow.poset import elements_of
@@ -67,4 +68,116 @@ def disjoint_union(p, q):
     labels = [f"l_{lab}" for lab in p.labels] + [f"r_{lab}" for lab in q.labels]
     pairs = [(f"l_{p.labels[a]}", f"l_{p.labels[b]}") for a, b in p.covers]
     pairs += [(f"r_{q.labels[a]}", f"r_{q.labels[b]}") for a, b in q.covers]
+    return Poset.from_relations(labels, pairs)
+
+
+def reference_down_rows(labels, pairs):
+    """Down-set rows by closing the strict relation until nothing changes.
+
+    A fixpoint loop, independent of the topological pass in
+    ``Poset.from_relations``; returns None on a cycle instead of raising.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    up = [0] * n
+    for a, b in pairs:
+        up[index[a]] |= 1 << index[b]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            acc = up[x]
+            for y in elements_of(acc):
+                acc |= up[y]
+            if acc != up[x]:
+                up[x] = acc
+                changed = True
+    if any((up[x] >> x) & 1 for x in range(n)):
+        return None
+    down = [1 << x for x in range(n)]
+    for x in range(n):
+        for y in elements_of(up[x]):
+            down[y] |= 1 << x
+    return down
+
+
+def reference_covers(p):
+    """Cover pairs: a < b with nothing strictly between, one pair at a time."""
+    return tuple((a, b) for a in range(p.n) for b in elements_of(p.strict_up(a))
+                 if p.strict_up(a) & p.strict_down(b) == 0)
+
+
+def reference_heights(p):
+    """Heights by relaxing over every strict pair in increasing down-set size."""
+    order = sorted(range(p.n), key=lambda x: p.down_set(x).bit_count())
+    ht = [0] * p.n
+    for x in order:
+        for y in elements_of(p.strict_down(x)):
+            ht[x] = max(ht[x], ht[y] + 1)
+    return tuple(ht)
+
+
+def reference_core(p):
+    """Core by rescanning every live point after each deletion.
+
+    The deletion rule of ``reduction.core`` (lowest-index beat point first)
+    with the beat test spelled out: some member of the strict down-set
+    (up-set) lies above (below) all of it.  Returns ``(core labels, trace)``.
+    """
+    def has_top(mask, rows):
+        return any(mask & ~rows[m] == 0 for m in elements_of(mask))
+
+    downs = [p.down_set(x) for x in range(p.n)]
+    ups = [p.up_set(x) for x in range(p.n)]
+    alive = (1 << p.n) - 1
+    trace = []
+    while True:
+        for x in elements_of(alive):
+            if (has_top(p.strict_down(x) & alive, downs)
+                    or has_top(p.strict_up(x) & alive, ups)):
+                alive &= ~(1 << x)
+                trace.append(x)
+                break
+        else:
+            return tuple(p.labels_of(alive)), trace
+
+
+def shuffled_spaces(count, seed):
+    """``(labels, pairs)`` of random posets of 20-200 points, shuffled.
+
+    Every third one also carries a chain and every third a sphere model as
+    further components, so long chains of beat points and large minimal
+    pieces both occur.
+    """
+    from finflow import families
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = families.random_poset(rng.randint(20, 200),
+                                  rng.choice((0.005, 0.02, 0.05, 0.1, 0.3)),
+                                  rng.getrandbits(32))
+        if i % 3 == 1:
+            p = disjoint_union(p, families.chain(rng.randint(2, 40)))
+        elif i % 3 == 2:
+            p = disjoint_union(p, sphere_model(rng.randint(2, 20)))
+        out.append(shuffled_relations(p, rng))
+    return out
+
+
+def shuffled_relations(p, rng):
+    """Labels and cover pairs of ``p``, both in a random order."""
+    labels = list(p.labels)
+    rng.shuffle(labels)
+    pairs = [(p.labels[a], p.labels[b]) for a, b in p.covers]
+    rng.shuffle(pairs)
+    return labels, pairs
+
+
+def sphere_model(k):
+    """Minimal finite model of the (k-1)-sphere: k two-point antichains stacked."""
+    from finflow.poset import Poset
+
+    labels = [f"s{d}{side}" for d in range(k) for side in "ab"]
+    pairs = [(f"s{d - 1}{lo}", f"s{d}{hi}") for d in range(1, k) for lo in "ab" for hi in "ab"]
     return Poset.from_relations(labels, pairs)

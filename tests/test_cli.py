@@ -128,6 +128,18 @@ def test_size_limit_exit_code(capsys, tmp_path):
     assert out == "32768 (32767 non-trivial)\n"
 
 
+def test_semiflow_count_on_large_antichain(capsys, tmp_path):
+    # 1100 elements assigned one after another: deeper than Python's
+    # recursion limit, so the enumerator must not recurse per element
+    code, text, _ = run(capsys, "gen", "antichain", "--n", "1100")
+    assert code == 0
+    wide = tmp_path / "wide.txt"
+    wide.write_text(text)
+    code, out, err = run(capsys, "semiflows", str(wide), "--count", "--limit", "1100")
+    assert code == 0 and "warning" in err
+    assert out == "1 (0 non-trivial)\n"
+
+
 def test_random_suite(capsys):
     code, out, _ = run(capsys, "random-suite", "--count", "12", "--max-n", "7", "--seed", "3")
     assert code == 0

@@ -1,10 +1,14 @@
+import random
+import re
+
 import pytest
 
 from finflow import families
 from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
 from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
 
-from helpers import brute_height, brute_lower_sets
+from helpers import (brute_height, brute_lower_sets, reference_covers,
+                     reference_down_rows, reference_heights)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -36,13 +40,63 @@ def test_singleton_and_empty():
     assert e.n == 0 and e.height == -1
 
 
+def cycle_message_labels(err):
+    return set(re.findall(r"'([^']*)'", str(err.value)))
+
+
 def test_cycle_errors():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError) as err:
         Poset.from_relations(["a", "b"], [("a", "b"), ("b", "a")])
+    assert str(err.value) == "'a' < 'b' and 'b' < 'a'"
     with pytest.raises(CycleError):
         Poset.from_relations(["a"], [("a", "a")])
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError) as err:
         Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    assert cycle_message_labels(err) <= {"a", "b", "c"}
+
+    # acyclic parts downstream of the cycle come first in the label order
+    with pytest.raises(CycleError) as err:
+        Poset.from_relations(["d", "e", "f", "a", "b", "c"],
+                             [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
+                              ("d", "e"), ("f", "a")])
+    assert cycle_message_labels(err) <= {"a", "b", "c"}
+
+    # a 50-element cycle hidden among 300 points, fed from below by the low
+    # v's and feeding the high v's, which never reach back to it; the high
+    # v's come first in the label order
+    base = families.random_poset(250, 0.02, 5)
+    ring = [f"w{i}" for i in range(50)]
+    v = list(base.labels)
+    labels = v[200:] + v[:120] + ring[::-1] + v[120:200]
+    pairs = [(base.labels[a], base.labels[b]) for a, b in base.covers]
+    pairs += [(ring[i], ring[(i + 1) % 50]) for i in range(50)]
+    pairs += [(f"v{i}", ring[i % 50]) for i in range(0, 100, 7)]
+    pairs += [(ring[i % 50], f"v{i}") for i in range(200, 250, 3)]
+    with pytest.raises(CycleError) as err:
+        Poset.from_relations(labels, pairs)
+    named = cycle_message_labels(err)
+    assert len(named) == 2 and named <= set(ring)
+
+
+def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
+    rng = random.Random(41)
+    spaces = [(p.labels, [(p.labels[a], p.labels[b]) for a, b in p.covers])
+              for p in corpus] + list(shuffled_spaces)
+    for labels, pairs in spaces:
+        p = Poset.from_relations(labels, pairs)
+        assert list(p._down) == reference_down_rows(labels, pairs)
+        assert p.covers == reference_covers(p)
+        assert p.heights == reference_heights(p)
+        if p.n > 1:
+            # one extra pair b < a with a <= b closes a cycle
+            a = rng.randrange(p.n)
+            b = rng.choice(elements_of(p.up_set(a)))
+            if a == b:
+                continue
+            bad = pairs + [(labels[b], labels[a])]
+            assert reference_down_rows(labels, bad) is None
+            with pytest.raises(CycleError):
+                Poset.from_relations(labels, bad)
 
 
 def test_unknown_and_duplicate_labels():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from finflow import families
+from finflow import families, reduction
 from finflow.errors import InvalidSequenceError, SizeLimitError
 from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
 from finflow.reduction import (RemovalSequence, beat_points, core,
@@ -9,7 +11,8 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
                                removal_sequence_for, retraction_from_sequence,
                                up_beat_points, validate_removal_sequence)
 
-from helpers import brute_down_beats, brute_up_beats, disjoint_union
+from helpers import (brute_down_beats, brute_up_beats, disjoint_union,
+                     reference_core, shuffled_relations)
 
 
 def labset(p, mask):
@@ -98,6 +101,53 @@ def test_core_unique_up_to_isomorphism(corpus):
         a, _ = core(p)
         b = core_highest_first(p)
         assert is_isomorphic(a, b)
+
+
+def test_core_matches_rescan_reference(corpus, shuffled_spaces):
+    spaces = list(corpus) + [Poset.from_relations(*s) for s in shuffled_spaces]
+    for p in spaces:
+        c, trace = core(p)
+        assert (c.labels, trace) == reference_core(p)
+
+
+def test_core_of_thousand_points():
+    rng = random.Random(1000)
+    chain = families.chain(1000)
+    shuffled_chain = Poset.from_relations(*shuffled_relations(chain, rng))
+    # every point of a chain is a beat point, so the lowest index always goes
+    for p in (chain, shuffled_chain):
+        c, trace = core(p)
+        assert c.labels == p.labels[-1:] and trace == list(range(999))
+    sparse = Poset.from_relations(
+        *shuffled_relations(families.random_poset(1000, 0.005, 3), rng))
+    c, trace = core(sparse)
+    assert (c.labels, trace) == reference_core(sparse)
+
+
+def test_core_without_beat_points_returns_the_space():
+    pc = families.pseudo_circle()
+    c, trace = core(pc)
+    assert c is pc and trace == []
+
+
+def test_core_tests_only_the_neighbours_of_removed_points(monkeypatch):
+    # The initial scan tests each point once per direction; after that a
+    # deletion tests only the points covering or covered by the deleted one,
+    # which on these inputs stays within 3n.  Rescanning every live point
+    # after each deletion would take about n per deletion.
+    calls = []
+    for name in ("_down_beat", "_up_beat"):
+        real = getattr(reduction, name)
+        monkeypatch.setattr(reduction, name,
+                            lambda p, x, alive, real=real: calls.append(x) or real(p, x, alive))
+    rng = random.Random(300)
+    sparse = Poset.from_relations(
+        *shuffled_relations(families.random_poset(300, 0.02, 11), rng))
+    for p in (families.chain(300), sparse):
+        calls.clear()
+        _, trace = core(p)
+        assert len(trace) > 50
+        assert len(calls) - 2 * p.n <= 3 * p.n
 
 
 def test_potential_down_beat_points_examples():
@@ -191,6 +241,19 @@ def test_search_size_guard():
     with pytest.raises(SizeLimitError):
         potential_down_beat_points(big)
     assert potential_down_beat_points(big, max_n=17) == mask_of(range(1, 17))
+
+
+def test_long_witness_needs_no_recursion():
+    # 1100 disjoint two-chains: the last top's witness removes every top
+    labels, pairs = [], []
+    for i in range(1100):
+        labels += [f"b{i}", f"t{i}"]
+        pairs.append((f"b{i}", f"t{i}"))
+    p = Poset.from_relations(labels, pairs)
+    top = p.index_of("t1099")
+    seq = removal_sequence_for(p, top, max_n=p.n)
+    assert len(seq) == 1100 and seq.points[-1] == top
+    validate_removal_sequence(p, seq)
 
 
 def test_two_disjoint_chains_potential():
