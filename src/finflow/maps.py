@@ -153,52 +153,57 @@ def monotone_self_maps(poset, limit=None):
     are the common upper bounds of the images of x's lower covers.  Raises
     SizeLimitError once more than ``limit`` maps have been produced.
     """
-    n = poset.n
-    order = _scan_order(poset)
-    values = [0] * n
     produced = 0
-
-    def assign(k):
-        nonlocal produced
-        if k == n:
-            produced += 1
-            if limit is not None and produced > limit:
-                raise SizeLimitError(f"more than {limit} monotone self-maps")
-            yield MonotoneMap(poset, values)
-            return
-        x = order[k]
-        cand = poset.full_mask
-        for w in poset.lower_covers(x):
-            cand &= poset.up_set(values[w])
-        for y in elements_of(cand):
-            values[x] = y
-            yield from assign(k + 1)
-
-    yield from assign(0)
+    for values in _monotone_tables(poset, [poset.full_mask] * poset.n):
+        produced += 1
+        if limit is not None and produced > limit:
+            raise SizeLimitError(f"more than {limit} monotone self-maps")
+        yield MonotoneMap(poset, values)
 
 
 def _one_step_neighbours(poset, base):
     """Monotone maps comparable with ``base`` (one fence step away)."""
+    for bound in (poset.up_set, poset.down_set):
+        for values in _monotone_tables(poset, [bound(v) for v in base]):
+            v = tuple(values)
+            if v != base:
+                yield v
+
+
+def _monotone_tables(poset, allowed):
+    """Yield the value table of every monotone map with ``f(x)`` in ``allowed[x]``.
+
+    Depth-first over the elements in increasing height with an explicit
+    stack, so deep posets need no recursion: the candidates for f(x) are
+    the members of ``allowed[x]`` above the images of x's lower covers.
+    Yields one list, updated in place; copy it to keep it.
+    """
     n = poset.n
     order = _scan_order(poset)
     values = [0] * n
 
-    def assign(k, up):
-        if k == n:
-            v = tuple(values)
-            if v != base:
-                yield v
-            return
-        x = order[k]
-        cand = poset.up_set(base[x]) if up else poset.down_set(base[x])
+    def candidates(x):
+        cand = allowed[x]
         for w in poset.lower_covers(x):
             cand &= poset.up_set(values[w])
-        for y in elements_of(cand):
-            values[x] = y
-            yield from assign(k + 1, up)
+        return iter(elements_of(cand))
 
-    yield from assign(0, True)
-    yield from assign(0, False)
+    if n == 0:
+        yield values
+        return
+    # stack[k] iterates the candidate images of order[k]
+    stack = [candidates(order[0])]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        values[order[k - 1]] = y
+        if k == n:
+            yield values
+        else:
+            stack.append(candidates(order[k]))
 
 
 def fence_homotopic(f, g, max_steps=None, budget=FENCE_BUDGET):

@@ -181,3 +181,52 @@ def sphere_model(k):
     labels = [f"s{d}{side}" for d in range(k) for side in "ab"]
     pairs = [(f"s{d - 1}{lo}", f"s{d}{hi}") for d in range(1, k) for lo in "ab" for hi in "ab"]
     return Poset.from_relations(labels, pairs)
+
+
+def reference_semigroup_law(sf):
+    """The semigroup law over the four time classes, one point at a time."""
+    for s in (0, 1):
+        for t in (0, 1):
+            for x in range(sf.space.n):
+                if sf.evaluate(s, sf.evaluate(t, x)) != sf.evaluate(s + t, x):
+                    return False
+    return True
+
+
+def reference_law_checks(p, flows):
+    """The five per-semiflow laws of ``full_verification``, point by point.
+
+    Calls ``Semiflow.evaluate`` for every flow, point and sample time, and
+    builds each check in its own pass, independent of the table-wise
+    ``semiflow._law_checks``.
+    """
+    from finflow.semiflow import BoundCheck
+
+    checks = []
+    ok = all(reference_semigroup_law(sf) for sf in flows)
+    checks.append(BoundCheck(
+        "semigroup_law", ok,
+        f"{len(flows)} semiflows x 4 time classes"))
+
+    ok = all(
+        (p.down_set(x) >> sf.evaluate(t, x)) & 1
+        for sf in flows for x in range(p.n) for t in (0, 0.75, 2.0))
+    checks.append(BoundCheck("orbit_containment", ok, "evaluate(t, x) stays in the down-set of x"))
+
+    ok = all(
+        sf.evaluate(t, x) == x
+        for sf in flows for x in range(p.n) if p.heights[x] == 0 for t in (0, 1.0))
+    checks.append(BoundCheck("floor_fixed", ok, "height-0 points are fixed at all times"))
+
+    ok = True
+    for sf in flows:
+        for s, t in ((0, 0.5), (0.25, 1.0), (0, 3.0)):
+            if not all(p.leq(sf.evaluate(t, x), sf.evaluate(s, x)) for x in range(p.n)):
+                ok = False
+    checks.append(BoundCheck("time_monotone", ok, "later states sit below earlier ones"))
+
+    checks.append(BoundCheck(
+        "flow_triviality_nonbijective",
+        all(sf.trivial or len(set(sf.retraction.values)) < p.n for sf in flows),
+        "non-trivial semiflow maps collapse at least one pair"))
+    return checks

@@ -1,8 +1,9 @@
 """CLI stdout against output recorded before the semigroup-law check
-became exact.
+became exact, and before the per-semiflow laws were checked table by table.
 
 The inputs in ``golden/`` were made with ``finflow gen example_3_1``,
-``finflow gen x_n --n 2`` and ``finflow gen random --n 9 --p 0.4 --seed 17``.
+``finflow gen x_n --n 2``, ``finflow gen random --n 9 --p 0.4 --seed 17``,
+``finflow gen chain --n 14`` and ``finflow gen x_n --n 4``.
 """
 
 import re
@@ -14,6 +15,8 @@ from finflow import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SPACES = ["example_3_1", "x_2", "random9"]
+# recorded with the exact law check, so ``verify`` must match byte for byte
+VERIFY_SPACES = ["chain14", "x_4"]
 
 
 def run(capsys, *argv):
@@ -37,3 +40,9 @@ def test_verify_output_unchanged_but_for_the_law_line(capsys, name):
         r"PASS semigroup_law: \1 semiflows x 4 time classes", old, flags=re.M)
     assert renamed == 1
     assert out == want
+
+
+@pytest.mark.parametrize("name", VERIFY_SPACES)
+def test_verify_output_byte_identical(capsys, name):
+    out = run(capsys, "verify", str(GOLDEN / f"{name}.txt"))
+    assert out == (GOLDEN / f"{name}.verify.out").read_text()

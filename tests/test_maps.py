@@ -155,3 +155,8 @@ def test_from_moves_and_as_moves_round_trip():
     f = MonotoneMap.from_moves(p, moves)
     assert f.as_moves() == moves
     assert MonotoneMap.identity(p).as_moves() == {}
+
+
+def test_self_maps_need_no_recursion():
+    # one search level per element: 1100 levels used to exceed the recursion limit
+    assert next(monotone_self_maps(families.antichain(1100))).values == (0,) * 1100

@@ -5,13 +5,13 @@ from finflow.errors import NegativeTimeError, SizeLimitError
 from finflow.maps import MonotoneMap
 from finflow.poset import elements_of, mask_of
 from finflow.reduction import down_beat_points, potential_down_beat_points
-from finflow.semiflow import (Semiflow, assert_flow_triviality,
+from finflow.semiflow import (Semiflow, _law_checks, assert_flow_triviality,
                               brute_force_oracle, count_semiflows,
                               enumerate_semiflows, full_verification,
                               max_disjoint_antichain, movable_points,
                               semigroup_law_check, verify_counting_results)
 
-from helpers import disjoint_union
+from helpers import disjoint_union, reference_law_checks
 
 # frozen by hand and confirmed by the brute-force oracle below
 EX31_NONTRIVIAL = [
@@ -51,6 +51,41 @@ def test_evaluate():
     for t in (-1, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NegativeTimeError, match="finite non-negative"):
             sf.evaluate(t, a)
+
+
+def test_at_matches_evaluate(corpus_flows):
+    for p, flows in corpus_flows:
+        for sf in flows:
+            for t in (0, 1e-9, 0.25, 1, 7, 1e300):
+                tab = sf.at(t)
+                assert len(tab) == p.n
+                assert all(tab[x] == sf.evaluate(t, x) for x in range(p.n))
+    sf = corpus_flows[0][1][0]
+    for t in (-1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NegativeTimeError) as err:
+            sf.at(t)
+        assert str(err.value) == "time must be a finite non-negative number"
+
+
+def test_law_checks_match_reference(corpus_flows):
+    chain14 = families.chain(14)
+    for p, flows in [*corpus_flows, (chain14, enumerate_semiflows(chain14))]:
+        assert _law_checks(p, flows) == reference_law_checks(p, flows)
+
+
+def test_law_checks_catch_broken_flows():
+    """Hand-built flows that break the laws; each of the five fails somewhere."""
+    c2, c3, a2 = families.chain(2), families.chain(3), families.antichain(2)
+    broken = [(c3, [0, 0, 1]), (c3, [1, 1, 2]), (c2, [1, 1]), (a2, [1, 0])]
+    failed = set()
+    for p, values in broken:
+        sf = Semiflow(p, MonotoneMap(p, values), validate=False)
+        for flows in ([sf], enumerate_semiflows(p) + [sf]):
+            checks = _law_checks(p, flows)
+            assert checks == reference_law_checks(p, flows)
+            failed |= {c.name for c in checks if not c.satisfied}
+    assert failed == {"semigroup_law", "orbit_containment", "floor_fixed",
+                      "time_monotone", "flow_triviality_nonbijective"}
 
 
 def test_semigroup_law_check():
