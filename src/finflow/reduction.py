@@ -36,9 +36,14 @@ class RemovalSequence:
         return len(self.points)
 
 
+def _down_cover(p, x, alive):
+    """Maximum of the strict down-set of ``x`` within ``alive``, or None."""
+    return p.maximum_of(p.down_set(x) & alive & ~(1 << x))
+
+
 def _down_beat(p, x, alive):
-    """Whether the strict down-set of ``x`` within ``alive`` has a maximum."""
-    return p.maximum_of(p.down_set(x) & alive & ~(1 << x)) is not None
+    """Whether ``x`` has a down cover within ``alive``."""
+    return _down_cover(p, x, alive) is not None
 
 
 def _up_beat(p, x, alive):
@@ -102,7 +107,7 @@ def is_minimal_space(p):
 
 def down_cover(p, x):
     """The maximum below a down beat point; None for anything else."""
-    return p.maximum_of(p.strict_down(x))
+    return _down_cover(p, x, p.full_mask)
 
 
 def core(p):
@@ -240,6 +245,6 @@ def retraction_from_sequence(p, seq):
     values = list(range(p.n))
     alive = p.full_mask
     for x in seq.points:
-        values[x] = p.maximum_of(p.strict_down(x) & alive)
+        values[x] = _down_cover(p, x, alive)
         alive &= ~(1 << x)
     return MonotoneMap(p, values)

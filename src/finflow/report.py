@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from . import reduction, semiflow
 from .errors import SchemaError
@@ -35,7 +35,8 @@ class AnalysisReport:
     schema: int = SCHEMA_VERSION
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name; nested lists are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data):
@@ -81,7 +82,7 @@ def analyze(p, max_n=None):
             {"point": p.labels[x], "witness": [p.labels[i] for i in witnesses[x].points]}
             for x in sorted(witnesses)],
         s_f=len(flows),
-        nontrivial_semiflows=[sf.moves() for sf in flows if not sf.trivial],
+        nontrivial_semiflows=[m for m in (sf.moves() for sf in flows) if m],
         bounds_checked=[{"name": c.name, "satisfied": c.satisfied, "detail": c.detail}
                         for c in checks],
     )

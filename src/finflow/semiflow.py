@@ -6,6 +6,11 @@ Time enters only through the ``t == 0`` / ``t > 0`` split, so enumerating
 semiflows means enumerating those maps.  The converse holds too: for any
 such map r the two-piece formula is continuous (r <= id keeps preimages of
 lower sets open) and the semigroup law is exactly idempotence.
+
+Such a map is determined by its fixed points F, as r(x) = max(F & down(x)),
+and F gives one exactly when each x outside F is a down beat point of F
+plus x, dropped to its down cover there.  The enumerator lists these sets
+with that test as its only rule; monotonicity and idempotence follow.
 """
 
 from __future__ import annotations
@@ -97,44 +102,31 @@ def _law_holds(tab):
 # -- enumeration ------------------------------------------------------------
 
 
-def _complete(p, order):
-    """Every valid value table, assigning the elements in ``order``.
+def _tables(p):
+    """Every semiflow value table on ``p``, one per fixed-point set.
 
-    Elements are assigned in increasing height, so everything below the
-    current element is already decided.  A candidate image for x is any
-    point of its down-set that is x itself or already a fixed point, and
-    that dominates the images of x's lower covers.  Requiring images to be
-    fixed points is what enforces idempotence structurally.
+    Depth-first over the elements in scan order, so all that lies below an
+    element is decided when it comes up.  It is fixed first; dropping it to
+    its down cover among the fixed points is stacked when that cover exists.
     """
-    n = p.n
-    if n == 0:
-        return [()]
-    values = [-1] * n
+    order = _scan_order(p)
+    values = list(range(p.n))
     out = []
-    # stack[k] iterates the candidate images of order[k]
-    stack = [iter(_images(p, values, order[0]))]
-    while stack:
-        k = len(stack) - 1
-        x = order[k]
-        y = next(stack[-1], None)
-        if y is None:
-            values[x] = -1
-            stack.pop()
-            continue
+    stack = []  # (k, fixed, x, y): x drops to y, then order[k:] is left
+    k = fixed = 0
+    while True:
+        for j in range(k, p.n):
+            x = order[j]
+            y = reduction._down_cover(p, x, fixed)
+            if y is not None:
+                stack.append((j + 1, fixed, x, y))
+            values[x] = x
+            fixed |= 1 << x
+        out.append(tuple(values))
+        if not stack:
+            return out
+        k, fixed, x, y = stack.pop()
         values[x] = y
-        if k + 1 == n:
-            out.append(tuple(values))
-        else:
-            stack.append(iter(_images(p, values, order[k + 1])))
-    return out
-
-
-def _images(p, values, x):
-    """Candidate images of ``x`` once everything below it has a value."""
-    allowed = p.down_set(x)
-    for w in p.lower_covers(x):
-        allowed &= p.up_set(values[w])
-    return [y for y in elements_of(allowed) if y == x or values[y] == y]
 
 
 def enumerate_semiflows(p, max_n=None):
@@ -147,7 +139,7 @@ def enumerate_semiflows(p, max_n=None):
     if p.n > limit:
         raise SizeLimitError(f"semiflow enumeration limited to {limit} elements (got {p.n})")
     return [Semiflow(p, MonotoneMap(p, v), validate=False)
-            for v in sorted(_complete(p, _scan_order(p)))]
+            for v in sorted(_tables(p))]
 
 
 def brute_force_oracle(p, max_n=None):

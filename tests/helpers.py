@@ -230,3 +230,24 @@ def reference_law_checks(p, flows):
         all(sf.trivial or len(set(sf.retraction.values)) < p.n for sf in flows),
         "non-trivial semiflow maps collapse at least one pair"))
     return checks
+
+
+def reference_semiflow_tables(p, budget):
+    """Idempotent members of every monotone map below the identity, sorted.
+
+    Lists the maps with ``f(x)`` in the down-set of ``x`` through
+    ``maps._monotone_tables`` and keeps the idempotent ones, so it shares
+    no rule with the enumerator's fixed-point-set search.  Returns None
+    once the listing passes ``budget`` maps.
+    """
+    from finflow.maps import _monotone_tables
+
+    out = []
+    listed = 0
+    for values in _monotone_tables(p, [p.down_set(x) for x in range(p.n)]):
+        listed += 1
+        if listed > budget:
+            return None
+        if all(values[y] == y for y in values):
+            out.append(tuple(values))
+    return sorted(out)

@@ -1,9 +1,11 @@
-"""CLI stdout against output recorded before the semigroup-law check
-became exact, and before the per-semiflow laws were checked table by table.
+"""CLI output against output recorded before the semigroup-law check
+became exact, before the per-semiflow laws were checked table by table,
+and before the enumerator listed fixed-point sets.
 
 The inputs in ``golden/`` were made with ``finflow gen example_3_1``,
 ``finflow gen x_n --n 2``, ``finflow gen random --n 9 --p 0.4 --seed 17``,
-``finflow gen chain --n 14`` and ``finflow gen x_n --n 4``.
+``finflow gen chain --n 14``, ``finflow gen x_n --n 4`` and
+``finflow gen chain --n 8``.
 """
 
 import re
@@ -17,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 SPACES = ["example_3_1", "x_2", "random9"]
 # recorded with the exact law check, so ``verify`` must match byte for byte
 VERIFY_SPACES = ["chain14", "x_4"]
+LIST_SPACES = ["example_3_1", "x_4", "random9", "chain8"]
 
 
 def run(capsys, *argv):
@@ -46,3 +49,15 @@ def test_verify_output_unchanged_but_for_the_law_line(capsys, name):
 def test_verify_output_byte_identical(capsys, name):
     out = run(capsys, "verify", str(GOLDEN / f"{name}.txt"))
     assert out == (GOLDEN / f"{name}.verify.out").read_text()
+
+
+@pytest.mark.parametrize("name", LIST_SPACES)
+def test_semiflow_list_byte_identical(capsys, name):
+    out = run(capsys, "semiflows", str(GOLDEN / f"{name}.txt"), "--list")
+    assert out == (GOLDEN / f"{name}.semiflows.out").read_text()
+
+
+def test_analyze_json_byte_identical(capsys, tmp_path):
+    dest = tmp_path / "random9.json"
+    run(capsys, "analyze", str(GOLDEN / "random9.txt"), "--json", str(dest))
+    assert dest.read_text() == (GOLDEN / "random9.analyze.json").read_text()

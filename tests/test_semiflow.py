@@ -11,7 +11,7 @@ from finflow.semiflow import (Semiflow, _law_checks, assert_flow_triviality,
                               max_disjoint_antichain, movable_points,
                               semigroup_law_check, verify_counting_results)
 
-from helpers import disjoint_union, reference_law_checks
+from helpers import disjoint_union, reference_law_checks, reference_semiflow_tables
 
 # frozen by hand and confirmed by the brute-force oracle below
 EX31_NONTRIVIAL = [
@@ -149,6 +149,26 @@ def test_oracle_agrees_with_enumerator_on_families(corpus_flows):
     for p, flows in corpus_flows[:25]:
         assert [sf.retraction.values for sf in flows] == \
             [m.values for m in brute_force_oracle(p)]
+
+
+def test_enumerator_matches_below_identity_listing():
+    """Cross-check above the 10-point oracle guard, on 11-14 point inputs.
+
+    chain(11) lists 58 786 maps below the identity; the random inputs are
+    kept when their listing stays within 20 000 maps.
+    """
+    seven = families.chain(2)
+    for _ in range(6):
+        seven = disjoint_union(seven, families.chain(2))
+    cases = [(p, reference_semiflow_tables(p, 60_000))
+             for p in (families.chain(11), families.realization_family(4), seven)]
+    cases += [(p, reference_semiflow_tables(p, 20_000))
+              for p in families.random_corpus(200, 14, 1) if p.n >= 11]
+    cases = [(p, want) for p, want in cases if want is not None]
+    assert len(cases) == 3 + 39
+    assert len(cases[2][1]) == 2 ** 7
+    for p, want in cases:
+        assert [sf.retraction.values for sf in enumerate_semiflows(p)] == want, p.labels
 
 
 def test_size_guards():
