@@ -3,7 +3,9 @@
 A down beat point is one whose strict down-set has a maximum; deleting it
 leaves a strong deformation retract.  Iterating deletions yields the core.
 Removal sequences record the order of deletions and witness which points a
-semiflow can move.
+semiflow can move.  Those points form one largest set, found by a single
+upward scan with the down-beat test as its only rule; the witness of a
+point is that set's part below it, in scan order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import elements_of, mask_of
+from .poset import _scan_order, elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -144,68 +146,39 @@ def _check_search_size(p, max_n):
         raise SizeLimitError(f"removal search limited to {limit} elements (got {p.n})")
 
 
-def _height_ok(h, floor, strict_heights):
-    return h > floor or (not strict_heights and h == floor)
-
-
-def _removal_search(p, strict_heights=False, max_n=None, stop=None):
-    """Potential down beat points, each mapped to its witness sequence.
-
-    Depth-first over removal states keyed by (remaining set, height floor),
-    where heights are always taken in the original space.  Candidates are
-    tried in ascending index order and every state is expanded once; the
-    first time a point is removed, the path that removed it is recorded as
-    its witness.  With ``stop`` given, the search ends as soon as that point
-    has its witness.
-    """
-    _check_search_size(p, max_n)
-    witnesses = {}
-    seen = set()
-    path = []
-    # One frame per state on the path: its down beat points and the ones it
-    # has left to try.  ``path`` holds the point removed to reach each state
-    # but the first.
-    down = _down_beats_within(p, p.full_mask)
-    stack = [(p.full_mask, -1, down, iter(elements_of(down)))]
-    while stack:
-        alive, floor, down, todo = stack[-1]
-        x = next(todo, None)
-        if x is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        h = p.heights[x]
-        if not _height_ok(h, floor, strict_heights):
-            continue
-        path.append(x)
-        if x not in witnesses:
-            witnesses[x] = RemovalSequence(path, [p.heights[y] for y in path])
-            if x == stop:
-                break
-        state = (alive & ~(1 << x), h)
-        if state in seen:
-            path.pop()
-            continue
-        seen.add(state)
-        after = _down_beats_after(p, down, alive, x)
-        stack.append((*state, after, iter(elements_of(after))))
-    return witnesses
-
-
-def potential_down_beat_points(p, strict_heights=False, max_n=None):
+def potential_down_beat_points(p, max_n=None):
     """Points removable by some height-ordered sequence of down-beat deletions.
 
-    By default later removals may repeat a height; ``strict_heights`` forces
-    strictly increasing heights instead (the two readings differ only in
-    whether two equal-height points may share one sequence).
+    These are exactly the points some semiflow moves, and later removals may
+    repeat a height.  One upward scan finds them: a point joins when it has
+    a down cover among the points that have not joined.  Everything below a
+    point comes before it in scan order, and whether it joins reads only
+    the points below it.
     """
-    return mask_of(_removal_search(p, strict_heights, max_n))
+    _check_search_size(p, max_n)
+    pot = 0
+    for y in _scan_order(p):
+        if _down_cover(p, y, p.full_mask & ~pot) is not None:
+            pot |= 1 << y
+    return pot
 
 
-def removal_sequence_for(p, y, strict_heights=False, max_n=None):
+def _witness(p, pot, x):
+    """The potential points ``pot`` at or below ``x``, in scan order.
+
+    Heights never decrease along it, and each point's strict down-set among
+    the points still there is the one it joined the scan with, so each is a
+    down beat point when its turn comes.
+    """
+    below = pot & p.down_set(x)
+    pts = [y for y in _scan_order(p) if (below >> y) & 1]
+    return RemovalSequence(pts, [p.heights[y] for y in pts])
+
+
+def removal_sequence_for(p, y, max_n=None):
     """A witness sequence ending at ``y``, or None if ``y`` is not potential."""
-    return _removal_search(p, strict_heights, max_n, stop=y).get(y)
+    pot = potential_down_beat_points(p, max_n)
+    return _witness(p, pot, y) if (pot >> y) & 1 else None
 
 
 def validate_removal_sequence(p, seq, strict_heights=False):
@@ -223,7 +196,7 @@ def validate_removal_sequence(p, seq, strict_heights=False):
         if p.heights[x] != h:
             raise InvalidSequenceError(
                 f"stored height {h} of {p.labels[x]!r} differs from {p.heights[x]}")
-        if not _height_ok(h, floor, strict_heights):
+        if h < floor or (strict_heights and h == floor):
             kind = "strictly increasing" if strict_heights else "nondecreasing"
             raise InvalidSequenceError(f"heights must be {kind} (step {step})")
         if not _down_beat(p, x, alive):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 from . import reduction, semiflow
 from .errors import SchemaError
-from .poset import mask_of
+from .poset import elements_of
 
 SCHEMA_VERSION = 1
 
@@ -66,8 +66,8 @@ def analyze(p, max_n=None):
     flows = semiflow.enumerate_semiflows(p, max_n=max_n)
     down = reduction.down_beat_points(p)
     up = reduction.up_beat_points(p)
-    witnesses = reduction._removal_search(p, max_n=max_n)
-    checks = semiflow._counting_checks(p, flows, down, mask_of(witnesses))
+    pot = reduction.potential_down_beat_points(p, max_n=max_n)
+    checks = semiflow._counting_checks(p, flows, down, pot)
     core_poset, trace = reduction.core(p)
     return AnalysisReport(
         labels=list(p.labels),
@@ -79,8 +79,9 @@ def analyze(p, max_n=None):
         core_labels=list(core_poset.labels),
         core_trace=[p.labels[x] for x in trace],
         potential_points=[
-            {"point": p.labels[x], "witness": [p.labels[i] for i in witnesses[x].points]}
-            for x in sorted(witnesses)],
+            {"point": p.labels[x],
+             "witness": [p.labels[i] for i in reduction._witness(p, pot, x).points]}
+            for x in elements_of(pot)],
         s_f=len(flows),
         nontrivial_semiflows=[m for m in (sf.moves() for sf in flows) if m],
         bounds_checked=[{"name": c.name, "satisfied": c.satisfied, "detail": c.detail}

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import reduction
 from .errors import NegativeTimeError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import _scan_order, elements_of, mask_of
+from .poset import _scan_order, elements_of
 
 ENUMERATION_LIMIT = 14
 ORACLE_LIMIT = 10
@@ -138,7 +138,7 @@ def enumerate_semiflows(p, max_n=None):
     limit = ENUMERATION_LIMIT if max_n is None else max_n
     if p.n > limit:
         raise SizeLimitError(f"semiflow enumeration limited to {limit} elements (got {p.n})")
-    return [Semiflow(p, MonotoneMap(p, v), validate=False)
+    return [Semiflow(p, MonotoneMap._trusted(p, v), validate=False)
             for v in sorted(_tables(p))]
 
 
@@ -367,8 +367,7 @@ def full_verification(p, max_n=None, include_oracle=True):
     """
     flows = enumerate_semiflows(p, max_n=max_n)
     d_mask = reduction.down_beat_points(p)
-    witnesses = reduction._removal_search(p, max_n=max_n)
-    pot_mask = mask_of(witnesses)
+    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
     checks = _counting_checks(p, flows, d_mask, pot_mask)
 
     checks += _law_checks(p, flows)
@@ -390,8 +389,8 @@ def full_verification(p, max_n=None, include_oracle=True):
         "every potential point is a down beat or has one strictly below"))
 
     ok = True
-    for x, seq in witnesses.items():
-        r = reduction.retraction_from_sequence(p, seq)
+    for x in elements_of(pot_mask):
+        r = reduction.retraction_from_sequence(p, reduction._witness(p, pot_mask, x))
         if not r.is_strong_deformation_retraction() or r.values[x] == x:
             ok = False
             break

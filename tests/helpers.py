@@ -251,3 +251,51 @@ def reference_semiflow_tables(p, budget):
         if all(values[y] == y for y in values):
             out.append(tuple(values))
     return sorted(out)
+
+
+def reference_removal_search(p, strict_heights=False):
+    """Potential down beat points by searching removal sequences, each with one.
+
+    Depth-first over removal states ``(remaining set, height floor)``, each
+    expanded once, with heights taken in the original space; a later
+    removal may repeat the floor's height unless ``strict_heights``.  A
+    point is a down beat point of the remaining set when its strict
+    down-set there has a member above all the others, tested from that
+    definition.  Returns each removable point mapped to the first sequence
+    found that removes it, so it shares no rule with the one-scan
+    ``potential_down_beat_points``.  Exponential; small inputs only.
+    """
+    def removable(alive, floor):
+        """Down beat points of ``alive`` that may follow a removal at ``floor``."""
+        out = []
+        for x in elements_of(alive):
+            h = p.heights[x]
+            if h < floor or (strict_heights and h == floor):
+                continue
+            below = p.strict_down(x) & alive
+            if any(below & ~p.down_set(m) == 0 for m in elements_of(below)):
+                out.append(x)
+        return iter(out)
+
+    witnesses = {}
+    seen = set()
+    path = []  # the point removed to reach each frame but the first
+    full = (1 << p.n) - 1
+    stack = [(full, removable(full, -1))]
+    while stack:
+        alive, todo = stack[-1]
+        x = next(todo, None)
+        if x is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(x)
+        witnesses.setdefault(x, tuple(path))
+        state = (alive & ~(1 << x), p.heights[x])
+        if state in seen:
+            path.pop()
+            continue
+        seen.add(state)
+        stack.append((state[0], removable(*state)))
+    return witnesses

@@ -1,6 +1,8 @@
 """CLI output against output recorded before the semigroup-law check
 became exact, before the per-semiflow laws were checked table by table,
-and before the enumerator listed fixed-point sets.
+and before the enumerator listed fixed-point sets.  The ``analyze``
+outputs of example_3_1 and random9 (text and JSON) were recorded again when
+witnesses became the potential points below each point in scan order.
 
 The inputs in ``golden/`` were made with ``finflow gen example_3_1``,
 ``finflow gen x_n --n 2``, ``finflow gen random --n 9 --p 0.4 --seed 17``,
@@ -8,12 +10,16 @@ The inputs in ``golden/`` were made with ``finflow gen example_3_1``,
 ``finflow gen chain --n 8``.
 """
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from finflow import cli
+from finflow.formats import parse_poset_text
+
+from helpers import reference_removal_search
 
 GOLDEN = Path(__file__).parent / "golden"
 SPACES = ["example_3_1", "x_2", "random9"]
@@ -61,3 +67,26 @@ def test_analyze_json_byte_identical(capsys, tmp_path):
     dest = tmp_path / "random9.json"
     run(capsys, "analyze", str(GOLDEN / "random9.txt"), "--json", str(dest))
     assert dest.read_text() == (GOLDEN / "random9.analyze.json").read_text()
+
+
+def recorded_witnesses(name):
+    """``(point, witness)`` label pairs of every recorded ``analyze`` output."""
+    text = (GOLDEN / f"{name}.analyze.out").read_text()
+    out = [(x, via.split(", ")) for x, via in re.findall(r"^  (\S+): via (.+)$", text, re.M)]
+    if name == "random9":
+        data = json.loads((GOLDEN / "random9.analyze.json").read_text())
+        out += [(w["point"], w["witness"]) for w in data["potential_points"]]
+    return out
+
+
+@pytest.mark.parametrize("name", ["example_3_1", "random9"])
+def test_recorded_witnesses_are_potential_points_below(name):
+    # the witness of x lists the potential points at or below x by height, then index
+    p = parse_poset_text((GOLDEN / f"{name}.txt").read_text())
+    pot = reference_removal_search(p)
+    witnesses = recorded_witnesses(name)
+    assert sorted({x for x, _ in witnesses}) == sorted(p.labels[x] for x in pot)
+    for x, via in witnesses:
+        below = [y for y in pot if p.leq(y, p.index_of(x))]
+        below.sort(key=lambda y: (p.heights[y], y))
+        assert via == [p.labels[y] for y in below]

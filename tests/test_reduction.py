@@ -10,9 +10,11 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
                                potential_down_beat_points,
                                removal_sequence_for, retraction_from_sequence,
                                up_beat_points, validate_removal_sequence)
+from finflow.semiflow import movable_points
 
 from helpers import (brute_down_beats, brute_up_beats, disjoint_union,
-                     reference_core, shuffled_relations)
+                     reference_core, reference_removal_search,
+                     shuffled_relations)
 
 
 def labset(p, mask):
@@ -161,10 +163,10 @@ def test_potential_down_beat_points_examples():
 def test_potential_strict_mode_is_a_subset(corpus):
     for p in corpus[:60]:
         loose = potential_down_beat_points(p)
-        strict = potential_down_beat_points(p, strict_heights=True)
+        strict = mask_of(reference_removal_search(p, strict_heights=True))
         assert strict & ~loose == 0
     p = families.example_3_1()
-    assert potential_down_beat_points(p, strict_heights=True) == \
+    assert mask_of(reference_removal_search(p, strict_heights=True)) == \
         potential_down_beat_points(p)
 
 
@@ -244,16 +246,42 @@ def test_search_size_guard():
 
 
 def test_long_witness_needs_no_recursion():
-    # 1100 disjoint two-chains: the last top's witness removes every top
+    # every point of chain(1100) but the bottom lies below the top and moves
+    p = families.chain(1100)
+    top = p.n - 1
+    seq = removal_sequence_for(p, top, max_n=p.n)
+    assert len(seq) == 1099 and seq.points[-1] == top
+    validate_removal_sequence(p, seq)
+
+
+def test_potential_points_of_many_disjoint_chains():
+    # 2^1100 removal states are reachable here; the scan visits each point once
     labels, pairs = [], []
     for i in range(1100):
         labels += [f"b{i}", f"t{i}"]
         pairs.append((f"b{i}", f"t{i}"))
     p = Poset.from_relations(labels, pairs)
-    top = p.index_of("t1099")
-    seq = removal_sequence_for(p, top, max_n=p.n)
-    assert len(seq) == 1100 and seq.points[-1] == top
-    validate_removal_sequence(p, seq)
+    pot = potential_down_beat_points(p, max_n=p.n)
+    assert pot == mask_of(p.index_of(f"t{i}") for i in range(1100))
+
+
+def test_scan_matches_removal_search_and_movable_points():
+    spaces = (families.random_corpus(400, 12, 7) + families.random_corpus(200, 16, 9)
+              + families.random_corpus(300, 14, 3))
+    spaces += [families.example_3_1(), families.example_2_5(), families.pseudo_circle(),
+               families.cone(families.pseudo_circle()), families.realization_family(4),
+               families.chain(14), families.random_poset(16, 0.25, 5)]
+    assert any(p.n == reduction.SEARCH_LIMIT for p in spaces)
+    for p in spaces:
+        pot = potential_down_beat_points(p)
+        assert pot == mask_of(reference_removal_search(p))
+        if p.n <= 14:
+            assert pot == movable_points(p)
+        for x in elements_of(pot):
+            seq = removal_sequence_for(p, x)
+            r = retraction_from_sequence(p, seq)  # validates the sequence
+            assert seq.points[-1] == x and r.values[x] != x
+            assert r.is_strong_deformation_retraction()
 
 
 def test_two_disjoint_chains_potential():
@@ -270,16 +298,14 @@ def test_strict_mode_distinguishing_witness():
         [("m1", "g1"), ("m2", "g2"), ("m1", "h"), ("m2", "h"),
          ("g1", "t"), ("g2", "t"), ("h", "t")])
     loose = potential_down_beat_points(p)
-    strict = potential_down_beat_points(p, strict_heights=True)
+    strict = mask_of(reference_removal_search(p, strict_heights=True))
     assert set(p.labels_of(loose)) == {"g1", "g2", "t"}
     assert set(p.labels_of(strict)) == {"g1", "g2"}
-
-    from finflow.semiflow import movable_points
     assert movable_points(p) == loose
 
     seq = removal_sequence_for(p, p.index_of("t"))
     assert [p.labels[i] for i in seq.points] == ["g1", "g2", "t"]
-    assert removal_sequence_for(p, p.index_of("t"), strict_heights=True) is None
+    assert p.index_of("t") not in reference_removal_search(p, strict_heights=True)
     r = retraction_from_sequence(p, seq)
     assert r.as_moves() == {"g1": "m1", "g2": "m2", "t": "h"}
     assert r.is_strong_deformation_retraction()

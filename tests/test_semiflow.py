@@ -273,13 +273,13 @@ def test_time_monotonicity(corpus_flows):
 
 def test_one_removal_search_per_call(monkeypatch):
     calls = []
-    real = reduction._removal_search
+    real = reduction.potential_down_beat_points
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, "_removal_search", counted)
+    monkeypatch.setattr(reduction, "potential_down_beat_points", counted)
     for p in (families.example_3_1(), families.realization_family(2)):
         calls.clear()
         full_verification(p)
