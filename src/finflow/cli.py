@@ -44,13 +44,9 @@ def _limit(args):
     return args.limit
 
 
-def _format_moves(sf):
-    moves = sf.moves()
-    if not moves:
-        return "id"
-    labels = sf.space.labels
-    ordered = [lab for lab in labels if lab in moves]
-    return ", ".join(f"{a}->{moves[a]}" for a in ordered)
+def _format_moves(moves, labels):
+    """Moved points in label order, written ``a->b``; ``id`` when none moves."""
+    return ", ".join(f"{a}->{moves[a]}" for a in labels if a in moves) or "id"
 
 
 def _cmd_validate(args):
@@ -76,8 +72,7 @@ def _cmd_analyze(args):
         print(f"  {w['point']}: via " + ", ".join(w["witness"]))
     print(f"semiflows: {rep.s_f} ({rep.s_f - 1} non-trivial)")
     for i, moves in enumerate(rep.nontrivial_semiflows, start=1):
-        ordered = [lab for lab in rep.labels if lab in moves]
-        print(f"  {i}: " + ", ".join(f"{a}->{moves[a]}" for a in ordered))
+        print(f"  {i}: {_format_moves(moves, rep.labels)}")
     good = sum(1 for c in rep.bounds_checked if c["satisfied"])
     print(f"checks: {good}/{len(rep.bounds_checked)} passed")
     if args.json:
@@ -96,7 +91,7 @@ def _cmd_semiflows(args):
             return EXIT_VERIFY
     if args.list:
         for i, sf in enumerate(flows):
-            print(f"{i}: {_format_moves(sf)}")
+            print(f"{i}: {_format_moves(sf.moves(), sf.space.labels)}")
     else:
         print(f"{len(flows)} ({len(flows) - 1} non-trivial)")
     return EXIT_OK

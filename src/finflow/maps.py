@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SizeLimitError
-from .poset import _scan_order, elements_of
+from .poset import elements_of
 
 FENCE_BUDGET = 50_000
 
@@ -187,7 +187,7 @@ def _monotone_tables(poset, allowed):
     Yields one list, updated in place; copy it to keep it.
     """
     n = poset.n
-    order = _scan_order(poset)
+    order = poset._order
     values = [0] * n
 
     def candidates(x):

@@ -35,15 +35,6 @@ def elements_of(mask):
     return out
 
 
-def _scan_order(p):
-    """Element indices by increasing height, ties by index.
-
-    Everything below an element comes before it, which is what the
-    backtracking map enumerators rely on.
-    """
-    return sorted(range(p.n), key=lambda x: (p.heights[x], x))
-
-
 def _top(above, below, s):
     """The element of ``s`` that every element of ``s`` reaches, or None.
 
@@ -110,11 +101,15 @@ class Poset:
     """Immutable finite poset over labelled elements.
 
     Construct with :meth:`from_relations`; the direct constructor expects
-    prebuilt down-set rows and validates that they form a partial order.
+    prebuilt down-set rows and validates that they form a partial order:
+    one pass in order of row size requires each row to be its own bit OR-ed
+    with the rows of its lower covers (else ValueError), none of which may
+    contain it (else CycleError).  Those rows are then strictly smaller, so
+    by induction on row size every row is closed and antisymmetric.
     """
 
     __slots__ = ("n", "labels", "covers", "heights", "_down", "_up", "_index",
-                 "_lower_covers", "_upper_covers")
+                 "_lower_covers", "_upper_covers", "_order")
 
     def __init__(self, labels, down_rows):
         labels = tuple(labels)
@@ -125,41 +120,44 @@ class Poset:
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         full = (1 << n) - 1
-        up = [0] * n
-        for x in range(n):
-            row = down[x]
+        for x, row in enumerate(down):
             if row & ~full:
                 raise ValueError("relation row references elements out of range")
             if not (row >> x) & 1:
                 raise ValueError("order must be reflexive")
-            for y in elements_of(row):
-                up[y] |= 1 << x
-        for x in range(n):
-            if down[x] & up[x] != 1 << x:
-                raise CycleError(f"antisymmetry violated at {labels[x]!r}")
-            acc = 0
-            for y in elements_of(down[x]):
-                acc |= down[y]
+        lower = [()] * n
+        ht = [0] * n
+        for x in sorted(range(n), key=lambda x: down[x].bit_count()):
+            bit = 1 << x
+            acc = bit
+            lower[x] = elements_of(_extremal(down, down[x] ^ bit))
+            for a in lower[x]:
+                if down[a] & bit:
+                    raise CycleError(f"antisymmetry violated at {labels[x]!r}")
+                acc |= down[a]
+                ht[x] = max(ht[x], ht[a] + 1)
             if acc != down[x]:
                 raise ValueError("order must be transitive")
+        upper = [[] for _ in range(n)]
+        for b in range(n):
+            for a in lower[b]:
+                upper[a].append(b)
+        # scan order: by height, ties by index, so all below x comes before x
+        self._order = tuple(sorted(range(n), key=ht.__getitem__))
+        up = [0] * n
+        for x in reversed(self._order):
+            acc = 1 << x
+            for b in upper[x]:
+                acc |= up[b]
+            up[x] = acc
         self.n = n
         self.labels = labels
         self._down = down
         self._up = tuple(up)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        lower = [elements_of(_extremal(down, down[b] ^ (1 << b))) for b in range(n)]
-        upper = [[] for _ in range(n)]
-        for b in range(n):
-            for a in lower[b]:
-                upper[a].append(b)
-        self.covers = tuple(sorted((a, b) for b in range(n) for a in lower[b]))
-        self._lower_covers = tuple(tuple(v) for v in lower)
-        self._upper_covers = tuple(tuple(v) for v in upper)
-        # |down_set| grows strictly along <, so this order is topological
-        ht = [0] * n
-        for x in sorted(range(n), key=lambda x: down[x].bit_count()):
-            if lower[x]:
-                ht[x] = 1 + max(ht[a] for a in lower[x])
+        self.covers = tuple((a, b) for a in range(n) for b in upper[a])
+        self._lower_covers = tuple(map(tuple, lower))
+        self._upper_covers = tuple(map(tuple, upper))
         self.heights = tuple(ht)
 
     @classmethod
@@ -337,28 +335,30 @@ def is_isomorphic(p, q, max_n=None):
     order = sorted(range(p.n), key=lambda x: (freq[pprof[x]], x))
     cands = [[y for y in range(q.n) if qprof[y] == pprof[x]] for x in range(p.n)]
     mapped = [-1] * p.n
-    used = [False] * q.n
 
-    def extend(k):
-        if k == p.n:
-            return True
+    def images(k):
+        """Images of order[k] that agree with order[:k] as mapped when asked.
+
+        Agreement both ways on the order also makes the map injective.
+        """
         x = order[k]
         for y in cands[x]:
-            if used[y]:
-                continue
-            ok = True
-            for j in range(k):
-                u = order[j]
-                if p.leq(u, x) != q.leq(mapped[u], y) or p.leq(x, u) != q.leq(y, mapped[u]):
-                    ok = False
-                    break
-            if ok:
-                mapped[x] = y
-                used[y] = True
-                if extend(k + 1):
-                    return True
-                used[y] = False
-                mapped[x] = -1
-        return False
+            if all(p.leq(u, x) == q.leq(mapped[u], y) and p.leq(x, u) == q.leq(y, mapped[u])
+                   for u in order[:k]):
+                yield y
 
-    return extend(0)
+    if p.n == 0:
+        return True
+    # stack[k] iterates the images of order[k]: deep posets need no recursion
+    stack = [images(0)]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        mapped[order[k - 1]] = y
+        if k == p.n:
+            return True
+        stack.append(images(k))
+    return False

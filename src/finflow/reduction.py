@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSequenceError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import _scan_order, elements_of, mask_of
+from .poset import elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -157,7 +157,7 @@ def potential_down_beat_points(p, max_n=None):
     """
     _check_search_size(p, max_n)
     pot = 0
-    for y in _scan_order(p):
+    for y in p._order:
         if _down_cover(p, y, p.full_mask & ~pot) is not None:
             pot |= 1 << y
     return pot
@@ -171,7 +171,7 @@ def _witness(p, pot, x):
     down beat point when its turn comes.
     """
     below = pot & p.down_set(x)
-    pts = [y for y in _scan_order(p) if (below >> y) & 1]
+    pts = [y for y in p._order if (below >> y) & 1]
     return RemovalSequence(pts, [p.heights[y] for y in pts])
 
 

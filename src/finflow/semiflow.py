@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import reduction
 from .errors import NegativeTimeError, SizeLimitError
 from .maps import MonotoneMap
-from .poset import _scan_order, elements_of
+from .poset import elements_of
 
 ENUMERATION_LIMIT = 14
 ORACLE_LIMIT = 10
@@ -109,7 +109,7 @@ def _tables(p):
     element is decided when it comes up.  It is fixed first; dropping it to
     its down cover among the fixed points is stacked when that cover exists.
     """
-    order = _scan_order(p)
+    order = p._order
     values = list(range(p.n))
     out = []
     stack = []  # (k, fixed, x, y): x drops to y, then order[k:] is left
@@ -204,21 +204,21 @@ def max_disjoint_antichain(p, max_n=None):
 def _max_disjoint(p, pot_mask):
     cands = elements_of(pot_mask)
     best = 0
-
-    def grow(i, chosen, union_down):
-        nonlocal best
+    # (i, chosen, union of their down-sets): cands[i:] is undecided.  The
+    # branch that takes cands[i] is pushed last, so it is searched first,
+    # and the bound is read when a branch is popped.
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, union_down = stack.pop()
         if chosen.bit_count() + (len(cands) - i) <= best.bit_count():
-            return
+            continue
         if i == len(cands):
-            if chosen.bit_count() > best.bit_count():
-                best = chosen
-            return
+            best = chosen  # larger than best, by the bound just passed
+            continue
         x = cands[i]
+        stack.append((i + 1, chosen, union_down))
         if p.down_set(x) & union_down == 0:
-            grow(i + 1, chosen | (1 << x), union_down | p.down_set(x))
-        grow(i + 1, chosen, union_down)
-
-    grow(0, 0, 0)
+            stack.append((i + 1, chosen | (1 << x), union_down | p.down_set(x)))
     return best
 
 

@@ -101,6 +101,24 @@ def reference_down_rows(labels, pairs):
     return down
 
 
+def reference_is_order(rows):
+    """Whether down-set rows (bit a of row b set when a <= b) form a partial order.
+
+    Straight from the definition: rows within range, then reflexivity,
+    antisymmetry over every pair and transitivity over every triple.
+    """
+    n = len(rows)
+
+    def leq(a, b):
+        return (rows[b] >> a) & 1 == 1
+
+    return (all(0 <= row < 1 << n for row in rows)
+            and all(leq(x, x) for x in range(n))
+            and not any(leq(a, b) and leq(b, a) for a, b in combinations(range(n), 2))
+            and all(leq(a, c) for a in range(n) for b in range(n) for c in range(n)
+                    if leq(a, b) and leq(b, c)))
+
+
 def reference_covers(p):
     """Cover pairs: a < b with nothing strictly between, one pair at a time."""
     return tuple((a, b) for a in range(p.n) for b in elements_of(p.strict_up(a))

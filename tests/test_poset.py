@@ -8,7 +8,8 @@ from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
 from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
 
 from helpers import (brute_height, brute_lower_sets, reference_covers,
-                     reference_down_rows, reference_heights)
+                     reference_down_rows, reference_heights, reference_is_order,
+                     shuffled_relations)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -107,6 +108,57 @@ def test_unknown_and_duplicate_labels():
     p = families.chain(2)
     with pytest.raises(UnknownLabelError):
         p.index_of("nope")
+
+
+def test_constructor_rejections():
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "b"], [0b01])
+    assert str(err.value) == "one relation row per label required"
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "a"], [0b01, 0b10])
+    assert str(err.value) == "labels must be distinct"
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "b"], [0b001, 0b110])
+    assert str(err.value) == "relation row references elements out of range"
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "b"], [0b01, 0b01])
+    assert str(err.value) == "order must be reflexive"
+    with pytest.raises(CycleError) as err:
+        Poset(["a", "b"], [0b11, 0b11])
+    assert str(err.value) == "antisymmetry violated at 'a'"
+    # a < b < c without a < c
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "b", "c"], [0b001, 0b011, 0b110])
+    assert str(err.value) == "order must be transitive"
+
+
+def test_constructor_accepts_exactly_the_partial_orders():
+    rng = random.Random(17)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            rows = [rng.getrandbits(n) | (1 << x) for x in range(n)]
+        else:
+            # the closure of a random acyclic relation, then maybe one bit flipped
+            perm = rng.sample(range(n), n)
+            pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.3]
+            rows = reference_down_rows(range(n), pairs)
+            if n and rng.random() < 0.5:
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        if not reference_is_order(rows):
+            with pytest.raises((ValueError, CycleError)):
+                Poset(range(n), rows)
+            continue
+        accepted += 1
+        p = Poset(range(n), rows)
+        assert p._down == tuple(rows)
+        assert p._up == tuple(mask_of(y for y in range(n) if (rows[y] >> x) & 1)
+                              for x in range(n))
+        assert p.covers == reference_covers(p)
+        assert p.heights == reference_heights(p)
+    assert 1000 < accepted < 2500
 
 
 def test_down_set_examples():
@@ -243,6 +295,13 @@ def test_isomorphism_size_guard():
     with pytest.raises(SizeLimitError):
         is_isomorphic(big, big)
     assert is_isomorphic(big, big, max_n=20)
+
+
+def test_isomorphism_of_long_chains_needs_no_recursion():
+    c = families.chain(1100)
+    shuffled = Poset.from_relations(*shuffled_relations(c, random.Random(5)))
+    assert is_isomorphic(c, shuffled, max_n=1100)
+    assert not is_isomorphic(c, families.antichain(1100), max_n=1100)
 
 
 def test_value_equality_and_hash():

@@ -3,7 +3,7 @@ import pytest
 from finflow import families, reduction, report
 from finflow.errors import NegativeTimeError, SizeLimitError
 from finflow.maps import MonotoneMap
-from finflow.poset import elements_of, mask_of
+from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import down_beat_points, potential_down_beat_points
 from finflow.semiflow import (Semiflow, _law_checks, assert_flow_triviality,
                               brute_force_oracle, count_semiflows,
@@ -220,6 +220,14 @@ def test_max_disjoint_antichain():
     assert {two.labels[x] for x in elements_of(a2)} == {"l_c1", "r_c1"}
 
     assert max_disjoint_antichain(families.pseudo_circle()) == 0
+
+
+def test_max_disjoint_antichain_of_many_disjoint_chains():
+    # one branch-and-bound level per potential point: 1100 levels deep
+    labels = [lab for i in range(1100) for lab in (f"b{i}", f"t{i}")]
+    p = Poset.from_relations(labels, [(f"b{i}", f"t{i}") for i in range(1100)])
+    tops = mask_of(p.index_of(f"t{i}") for i in range(1100))
+    assert max_disjoint_antichain(p, max_n=p.n) == tops
 
 
 def test_assert_flow_triviality():
