@@ -17,6 +17,13 @@ class SizeLimitError(FinflowError):
     """Input exceeds the configured size guard of an operation."""
 
 
+def check_size(what, n, limit, max_n):
+    """Refuse ``n`` elements above ``max_n``, or above ``limit`` when it is None."""
+    limit = limit if max_n is None else max_n
+    if n > limit:
+        raise SizeLimitError(f"{what} limited to {limit} elements (got {n})")
+
+
 class InvalidSequenceError(FinflowError):
     """A removal sequence fails one of its validity conditions."""
 

@@ -10,9 +10,7 @@ set containing ``x``.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .errors import CycleError, SizeLimitError, UnknownLabelError
+from .errors import CycleError, UnknownLabelError, check_size
 
 ISOMORPHISM_LIMIT = 16
 
@@ -317,9 +315,7 @@ def is_isomorphic(p, q, max_n=None):
     sizes, cover degrees).  Worst case exponential, hence the size guard;
     it is only meant for small cores.
     """
-    limit = ISOMORPHISM_LIMIT if max_n is None else max_n
-    if p.n > limit or q.n > limit:
-        raise SizeLimitError(f"isomorphism test limited to {limit} elements")
+    check_size("isomorphism test", max(p.n, q.n), ISOMORPHISM_LIMIT, max_n)
     if p.n != q.n:
         return False
 
@@ -331,28 +327,36 @@ def is_isomorphic(p, q, max_n=None):
     qprof = [profile(q, x) for x in range(q.n)]
     if sorted(pprof) != sorted(qprof):
         return False
-    freq = Counter(pprof)
-    order = sorted(range(p.n), key=lambda x: (freq[pprof[x]], x))
-    cands = [[y for y in range(q.n) if qprof[y] == pprof[x]] for x in range(p.n)]
+    cands = {}
+    for y, prof in enumerate(qprof):
+        cands.setdefault(prof, []).append(y)
     mapped = [-1] * p.n
 
-    def images(k):
-        """Images of order[k] that agree with order[:k] as mapped when asked.
+    def images(x, seen):
+        """Images of ``x`` that agree with the points mapped onto ``seen``.
 
-        Agreement both ways on the order also makes the map injective.
+        Points are mapped in scan order and keep their heights, so ``seen``
+        holds every point of ``q`` lower than ``y`` and none above it.  So
+        ``y`` agrees exactly when its down-set within ``seen`` is the image
+        of the strict down-set of ``x``, the union of the down-sets of its
+        lower covers' images; that also keeps ``y`` out of ``seen``.
         """
-        x = order[k]
-        for y in cands[x]:
-            if all(p.leq(u, x) == q.leq(mapped[u], y) and p.leq(x, u) == q.leq(y, mapped[u])
-                   for u in order[:k]):
+        below = 0
+        for c in p._lower_covers[x]:
+            below |= q._down[mapped[c]]
+        for y in cands[pprof[x]]:
+            if q._down[y] & seen == below:
                 yield y
 
     if p.n == 0:
         return True
-    # stack[k] iterates the images of order[k]: deep posets need no recursion
-    stack = [images(0)]
+    order = p._order
+    # stack[k] iterates the images of order[k] and holds those of order[:k]:
+    # deep posets need no recursion
+    stack = [(images(order[0], 0), 0)]
     while stack:
-        y = next(stack[-1], None)
+        todo, seen = stack[-1]
+        y = next(todo, None)
         if y is None:
             stack.pop()
             continue
@@ -360,5 +364,6 @@ def is_isomorphic(p, q, max_n=None):
         mapped[order[k - 1]] = y
         if k == p.n:
             return True
-        stack.append(images(k))
+        seen |= 1 << y
+        stack.append((images(order[k], seen), seen))
     return False

@@ -1,20 +1,22 @@
 """Beat points, cores, and removal sequences.
 
 A down beat point is one whose strict down-set has a maximum; deleting it
-leaves a strong deformation retract.  Iterating deletions yields the core.
-Removal sequences record the order of deletions and witness which points a
-semiflow can move.  Those points form one largest set, found by a single
-upward scan with the down-beat test as its only rule; the witness of a
-point is that set's part below it, in scan order.
+leaves a strong deformation retract.  An up beat point is a down beat point
+of the opposite order, so both are one test read through swapped up- and
+down-set tables.  Iterating deletions yields the core.  Removal sequences
+record the order of deletions and witness which points a semiflow can move.
+Those points form one largest set, found by a single upward scan with the
+down-beat test as its only rule; the witness of a point is that set's part
+below it, in scan order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSequenceError, SizeLimitError
+from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import elements_of, mask_of
+from .poset import _extremal, _top, elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -38,65 +40,35 @@ class RemovalSequence:
         return len(self.points)
 
 
+def _cover(above, below, x, alive):
+    """Top of the strict ``below``-set of ``x`` within ``alive``, or None.
+
+    With ``(p._up, p._down)`` this is the down cover of ``x``, the maximum
+    of what lies under it; with the tables swapped it is the up cover, the
+    minimum of what lies over it.
+    """
+    return _top(above, below, below[x] & alive & ~(1 << x))
+
+
+def _beats(above, below, among, alive):
+    """Points of ``among`` with a ``_cover`` within ``alive``."""
+    return mask_of(x for x in elements_of(among)
+                   if _cover(above, below, x, alive) is not None)
+
+
 def _down_cover(p, x, alive):
     """Maximum of the strict down-set of ``x`` within ``alive``, or None."""
-    return p.maximum_of(p.down_set(x) & alive & ~(1 << x))
-
-
-def _down_beat(p, x, alive):
-    """Whether ``x`` has a down cover within ``alive``."""
-    return _down_cover(p, x, alive) is not None
-
-
-def _up_beat(p, x, alive):
-    """Whether the strict up-set of ``x`` within ``alive`` has a minimum."""
-    return p.minimum_of(p.up_set(x) & alive & ~(1 << x)) is not None
-
-
-def _down_beats_within(p, alive):
-    return mask_of(x for x in elements_of(alive) if _down_beat(p, x, alive))
-
-
-def _up_beats_within(p, alive):
-    return mask_of(x for x in elements_of(alive) if _up_beat(p, x, alive))
-
-
-# Whether a point is a down beat point depends only on the maximal elements
-# of its strict down-set, and deleting a point that is not one of them leaves
-# them as they were.  So deleting ``x`` can change only the down-beat status
-# of the points covering ``x`` and the up-beat status of the points ``x``
-# covers; the two functions below test only those again.
-
-def _down_beats_after(p, down, alive, x):
-    """Down beat points of ``alive`` without ``x``, from ``down``, those of ``alive``."""
-    alive &= ~(1 << x)
-    covering = p.minimal_elements(p.up_set(x) & alive)
-    down &= alive & ~covering
-    for y in elements_of(covering):
-        if _down_beat(p, y, alive):
-            down |= 1 << y
-    return down
-
-
-def _up_beats_after(p, up, alive, x):
-    """Up beat points of ``alive`` without ``x``, from ``up``, those of ``alive``."""
-    alive &= ~(1 << x)
-    covered = p.maximal_elements(p.down_set(x) & alive)
-    up &= alive & ~covered
-    for y in elements_of(covered):
-        if _up_beat(p, y, alive):
-            up |= 1 << y
-    return up
+    return _cover(p._up, p._down, x, alive)
 
 
 def down_beat_points(p):
     """Points whose strict down-set has a maximum."""
-    return _down_beats_within(p, p.full_mask)
+    return _beats(p._up, p._down, p.full_mask, p.full_mask)
 
 
 def up_beat_points(p):
     """Points whose strict up-set has a minimum."""
-    return _up_beats_within(p, p.full_mask)
+    return _beats(p._down, p._up, p.full_mask, p.full_mask)
 
 
 def beat_points(p):
@@ -119,31 +91,29 @@ def core(p):
     the trace is reproducible; the result is unique up to isomorphism.
     Returns ``(core_poset, trace)`` with the trace in original indices and
     labels retained on the core; a space without beat points is returned
-    as it is.  Each deletion tests again only the points next to the deleted
-    one (see ``_down_beats_after``).
+    as it is.
+
+    Whether a point is a down beat point depends only on the maximal
+    elements of its strict down-set, and deleting a point that is not one
+    of them leaves them as they were.  So deleting ``x`` can change only
+    the down-beat status of the points covering ``x`` and the up-beat
+    status of the points ``x`` covers, and only those are tested again.
     """
+    sides = ((p._up, p._down), (p._down, p._up))
     alive = p.full_mask
-    down = _down_beats_within(p, alive)
-    up = _up_beats_within(p, alive)
-    beats = down | up
+    masks = [_beats(a, b, alive, alive) for a, b in sides]
     trace = []
-    while beats:
+    while beats := masks[0] | masks[1]:
         x = (beats & -beats).bit_length() - 1
-        down = _down_beats_after(p, down, alive, x)
-        up = _up_beats_after(p, up, alive, x)
         alive &= ~(1 << x)
-        beats = down | up
+        for i, (a, b) in enumerate(sides):
+            near = _extremal(a, a[x] & alive)
+            masks[i] = masks[i] & alive & ~near | _beats(a, b, near, alive)
         trace.append(x)
     if not trace:
         return p, trace
     sub, _ = p.induced(alive)
     return sub, trace
-
-
-def _check_search_size(p, max_n):
-    limit = SEARCH_LIMIT if max_n is None else max_n
-    if p.n > limit:
-        raise SizeLimitError(f"removal search limited to {limit} elements (got {p.n})")
 
 
 def potential_down_beat_points(p, max_n=None):
@@ -155,7 +125,7 @@ def potential_down_beat_points(p, max_n=None):
     point comes before it in scan order, and whether it joins reads only
     the points below it.
     """
-    _check_search_size(p, max_n)
+    check_size("removal search", p.n, SEARCH_LIMIT, max_n)
     pot = 0
     for y in p._order:
         if _down_cover(p, y, p.full_mask & ~pot) is not None:
@@ -181,8 +151,12 @@ def removal_sequence_for(p, y, max_n=None):
     return _witness(p, pot, y) if (pot >> y) & 1 else None
 
 
-def validate_removal_sequence(p, seq, strict_heights=False):
-    """Raise InvalidSequenceError unless ``seq`` is a legal removal sequence."""
+def validate_removal_sequence(p, seq):
+    """Raise InvalidSequenceError unless ``seq`` is a legal removal sequence.
+
+    Returns the stage covers: entry ``i`` is the maximum of the strict
+    down-set of ``seq.points[i]`` in the subspace where it is removed.
+    """
     pts = seq.points
     if len(pts) != len(set(pts)):
         raise InvalidSequenceError("sequence repeats a point")
@@ -190,20 +164,23 @@ def validate_removal_sequence(p, seq, strict_heights=False):
         raise InvalidSequenceError("one height per point required")
     alive = p.full_mask
     floor = -1
+    covers = []
     for step, (x, h) in enumerate(zip(pts, seq.heights), start=1):
         if not 0 <= x < p.n:
             raise InvalidSequenceError(f"index {x} out of range")
         if p.heights[x] != h:
             raise InvalidSequenceError(
                 f"stored height {h} of {p.labels[x]!r} differs from {p.heights[x]}")
-        if h < floor or (strict_heights and h == floor):
-            kind = "strictly increasing" if strict_heights else "nondecreasing"
-            raise InvalidSequenceError(f"heights must be {kind} (step {step})")
-        if not _down_beat(p, x, alive):
+        if h < floor:
+            raise InvalidSequenceError(f"heights must be nondecreasing (step {step})")
+        y = _down_cover(p, x, alive)
+        if y is None:
             raise InvalidSequenceError(
                 f"{p.labels[x]!r} is not a down beat point at step {step}")
+        covers.append(y)
         alive &= ~(1 << x)
         floor = h
+    return covers
 
 
 def retraction_from_sequence(p, seq):
@@ -214,10 +191,7 @@ def retraction_from_sequence(p, seq):
     stage maxima are never removed later, so the result is idempotent and
     below the identity.  The empty sequence gives the identity.
     """
-    validate_removal_sequence(p, seq)
     values = list(range(p.n))
-    alive = p.full_mask
-    for x in seq.points:
-        values[x] = _down_cover(p, x, alive)
-        alive &= ~(1 << x)
+    for x, y in zip(seq.points, validate_removal_sequence(p, seq)):
+        values[x] = y
     return MonotoneMap(p, values)

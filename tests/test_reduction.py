@@ -88,10 +88,11 @@ def test_core_is_minimal_on_corpus(corpus):
 def test_core_unique_up_to_isomorphism(corpus):
     # removing beat points in the opposite order must give the same core
     def core_highest_first(p):
-        from finflow.reduction import _down_beats_within, _up_beats_within
+        from finflow.reduction import _beats
         alive = p.full_mask
         while True:
-            beats = _down_beats_within(p, alive) | _up_beats_within(p, alive)
+            beats = (_beats(p._up, p._down, alive, alive)
+                     | _beats(p._down, p._up, alive, alive))
             if not beats:
                 break
             alive &= ~(1 << (beats.bit_length() - 1))
@@ -138,10 +139,10 @@ def test_core_tests_only_the_neighbours_of_removed_points(monkeypatch):
     # which on these inputs stays within 3n.  Rescanning every live point
     # after each deletion would take about n per deletion.
     calls = []
-    for name in ("_down_beat", "_up_beat"):
-        real = getattr(reduction, name)
-        monkeypatch.setattr(reduction, name,
-                            lambda p, x, alive, real=real: calls.append(x) or real(p, x, alive))
+    real = reduction._cover
+    monkeypatch.setattr(reduction, "_cover",
+                        lambda above, below, x, alive: calls.append(x)
+                        or real(above, below, x, alive))
     rng = random.Random(300)
     sparse = Poset.from_relations(
         *shuffled_relations(families.random_poset(300, 0.02, 11), rng))
@@ -208,9 +209,6 @@ def test_validate_removal_sequence_errors():
         validate_removal_sequence(p, RemovalSequence((b, b), (2, 2)))
     with pytest.raises(InvalidSequenceError):
         validate_removal_sequence(p, RemovalSequence((b,), (1,)))  # wrong height
-    with pytest.raises(InvalidSequenceError):
-        # equal heights are fine by default but not in strict mode
-        validate_removal_sequence(p, RemovalSequence((b, c), (2, 2)), strict_heights=True)
 
 
 def test_retraction_from_sequence_examples():
@@ -240,7 +238,7 @@ def test_witness_retractions_are_strong_deformation_retractions(corpus):
 
 def test_search_size_guard():
     big = families.chain(17)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^removal search limited to 16 elements \(got 17\)$"):
         potential_down_beat_points(big)
     assert potential_down_beat_points(big, max_n=17) == mask_of(range(1, 17))
 

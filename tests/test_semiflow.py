@@ -173,9 +173,11 @@ def test_enumerator_matches_below_identity_listing():
 
 def test_size_guards():
     big = families.chain(15)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match=r"^semiflow enumeration limited to 14 elements \(got 15\)$"):
         enumerate_semiflows(big)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError,
+                       match=r"^brute-force oracle limited to 10 elements \(got 11\)$"):
         brute_force_oracle(families.chain(11))
     # overridable
     assert len(brute_force_oracle(families.realization_family(3), max_n=11)) == 5
