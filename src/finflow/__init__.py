@@ -4,51 +4,51 @@ A finite T0 space is the same thing as a finite poset; this package parses
 and generates such spaces, detects beat points, computes cores, and
 enumerates every semiflow (equivalently, every idempotent monotone map
 below the identity) together with the counting bounds attached to them.
+
+Importing the package loads none of its modules: each name in ``__all__``
+is imported from its module on first use (PEP 562), so a command line call
+compiles only the modules it runs.
 """
 
-from .errors import (CycleError, FinflowError, InvalidSequenceError,
-                     InvalidSpecError, NegativeTimeError, ParseError,
-                     SchemaError, SizeLimitError, UnknownLabelError)
-from .families import (GeneratorSpec, antichain, chain, cone, example_2_5,
-                       example_3_1, make, pseudo_circle, random_corpus,
-                       random_poset, realization_family)
-from .formats import (parse_poset_json, parse_poset_text, to_dot,
-                      write_poset_json, write_poset_text)
-from .maps import (MonotoneMap, fence_homotopic, is_monotone,
-                   monotone_self_maps)
-from .poset import Poset, elements_of, is_isomorphic, mask_of
-from .prng import Xorshift64Star
-from .reduction import (RemovalSequence, beat_points, core, down_beat_points,
-                        down_cover, is_minimal_space,
-                        potential_down_beat_points, removal_sequence_for,
-                        retraction_from_sequence, up_beat_points,
-                        validate_removal_sequence)
-from .report import AnalysisReport, analyze
-from .semiflow import (BoundCheck, CountReport, Semiflow,
-                       assert_flow_triviality, brute_force_oracle,
-                       count_semiflows, enumerate_semiflows,
-                       full_verification, max_disjoint_antichain,
-                       movable_points, semigroup_law_check,
-                       verify_counting_results)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport", "BoundCheck", "CountReport", "CycleError",
-    "FinflowError", "GeneratorSpec", "InvalidSequenceError",
-    "InvalidSpecError", "MonotoneMap", "NegativeTimeError", "ParseError",
-    "Poset", "RemovalSequence", "SchemaError", "Semiflow", "SizeLimitError",
-    "UnknownLabelError", "Xorshift64Star", "analyze", "antichain",
-    "assert_flow_triviality", "beat_points", "brute_force_oracle", "chain",
-    "cone", "core", "count_semiflows", "down_beat_points", "down_cover",
-    "elements_of", "enumerate_semiflows", "example_2_5", "example_3_1",
-    "fence_homotopic", "full_verification", "is_isomorphic",
-    "is_minimal_space", "is_monotone", "make", "mask_of",
-    "max_disjoint_antichain", "monotone_self_maps", "movable_points",
-    "parse_poset_json", "parse_poset_text", "potential_down_beat_points",
-    "pseudo_circle", "random_corpus", "random_poset", "realization_family",
-    "removal_sequence_for", "retraction_from_sequence",
-    "semigroup_law_check", "to_dot", "up_beat_points",
-    "validate_removal_sequence", "verify_counting_results",
-    "write_poset_json", "write_poset_text",
-]
+_EXPORTS = {
+    "errors": ("CycleError", "FinflowError", "InvalidSequenceError",
+               "InvalidSpecError", "NegativeTimeError", "ParseError",
+               "SchemaError", "SizeLimitError", "UnknownLabelError"),
+    "families": ("GeneratorSpec", "antichain", "chain", "cone", "example_2_5",
+                 "example_3_1", "make", "pseudo_circle", "random_corpus",
+                 "random_poset", "realization_family"),
+    "formats": ("parse_poset_json", "parse_poset_text", "to_dot",
+                "write_poset_json", "write_poset_text"),
+    "maps": ("MonotoneMap", "fence_homotopic", "is_monotone", "monotone_self_maps"),
+    "poset": ("Poset", "elements_of", "is_isomorphic", "mask_of"),
+    "prng": ("Xorshift64Star",),
+    "reduction": ("RemovalSequence", "beat_points", "core", "down_beat_points",
+                  "down_cover", "is_minimal_space", "potential_down_beat_points",
+                  "removal_sequence_for", "retraction_from_sequence",
+                  "up_beat_points", "validate_removal_sequence"),
+    "report": ("AnalysisReport", "analyze"),
+    "semiflow": ("BoundCheck", "CountReport", "Semiflow", "assert_flow_triviality",
+                 "brute_force_oracle", "count_semiflows", "enumerate_semiflows",
+                 "full_verification", "max_disjoint_antichain", "movable_points",
+                 "semigroup_law_check", "verify_counting_results"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -3,14 +3,18 @@
 Exit codes: 0 success, 1 parse/validation problems, 2 verification
 failure, 3 size guard exceeded.  Diagnostics go to stderr; results to
 stdout are deterministic for fixed inputs.
-"""
 
-from __future__ import annotations
+Each command imports only the modules it runs: ``formats`` is loaded with
+this module, ``families`` when the parser is built (for the generator
+kinds), and ``semiflow`` and ``report`` inside the commands that use them,
+so ``validate``, ``gen`` and a plain ``dot`` never load the reduction and
+semiflow layers.
+"""
 
 import argparse
 import sys
 
-from . import families, formats, report, semiflow
+from . import formats
 from .errors import (CycleError, InvalidSpecError, ParseError, SchemaError,
                      SizeLimitError, UnknownLabelError)
 
@@ -56,6 +60,8 @@ def _cmd_validate(args):
 
 
 def _cmd_analyze(args):
+    from . import report
+
     p = _load(args.file)
     rep = report.analyze(p, max_n=_limit(args))
     print(f"elements ({len(rep.labels)}): " + " ".join(rep.labels))
@@ -82,6 +88,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_semiflows(args):
+    from . import semiflow
+
     p = _load(args.file)
     flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
     if args.oracle:
@@ -98,6 +106,8 @@ def _cmd_semiflows(args):
 
 
 def _cmd_verify(args):
+    from . import semiflow
+
     p = _load(args.file)
     checks = semiflow.full_verification(p, max_n=_limit(args))
     failed = sum(1 for c in checks if not c.satisfied)
@@ -108,6 +118,8 @@ def _cmd_verify(args):
 
 
 def _cmd_gen(args):
+    from . import families
+
     spec = families.GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed,
                                   edge_prob=args.p)
     text = formats.write_poset_text(families.make(spec))
@@ -123,6 +135,8 @@ def _cmd_dot(args):
     p = _load(args.file)
     annotate = None
     if args.semiflow is not None:
+        from . import semiflow
+
         flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
         if not 0 <= args.semiflow < len(flows):
             print(f"error: semiflow index out of range (0..{len(flows) - 1})", file=sys.stderr)
@@ -133,6 +147,8 @@ def _cmd_dot(args):
 
 
 def _cmd_random_suite(args):
+    from . import families, semiflow
+
     corpus = families.random_corpus(args.count, args.max_n, args.seed)
     failures = 0
     for i, p in enumerate(corpus):
@@ -147,6 +163,8 @@ def _cmd_random_suite(args):
 
 
 def _build_parser():
+    from .families import KINDS
+
     parser = _Parser(
         prog="finflow",
         description="Analyze finite T0 spaces: beat points, cores, and semiflows.")
@@ -180,7 +198,7 @@ def _build_parser():
     cmd.add_argument("file")
 
     cmd = add("gen", _cmd_gen, "generate a named space", with_limit=False)
-    cmd.add_argument("kind", choices=families.KINDS)
+    cmd.add_argument("kind", choices=KINDS)
     cmd.add_argument("--n", type=int, default=None)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--p", type=float, default=0.5, help="edge probability (random kind)")

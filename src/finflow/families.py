@@ -1,8 +1,6 @@
 """Deterministic generators for the named example spaces and random posets."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSpecError
 from .poset import Poset
@@ -124,14 +122,15 @@ def random_corpus(count, max_n, seed):
     return out
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Description of a generated space; ``make`` turns it into a poset."""
+class GeneratorSpec(namedtuple("GeneratorSpec", "kind n seed edge_prob",
+                               defaults=(None, 0, 0.5))):
+    """Description of a generated space; ``make`` turns it into a poset.
 
-    kind: str
-    n: int | None = None
-    seed: int = 0
-    edge_prob: float = 0.5
+    Fields: ``kind``, ``n`` (None by default), ``seed`` (0) and
+    ``edge_prob`` (0.5).
+    """
+
+    __slots__ = ()
 
     def validate(self):
         if self.kind not in KINDS:

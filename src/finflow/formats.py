@@ -1,9 +1,5 @@
 """Poset text/JSON formats and DOT export."""
 
-from __future__ import annotations
-
-import json
-
 from .errors import ParseError, SchemaError, UnknownLabelError
 from .poset import Poset
 
@@ -61,6 +57,8 @@ def write_poset_text(p):
 
 def parse_poset_json(text):
     """Parse ``{"elements": [...], "relations": [[lesser, greater], ...]}``."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,6 +86,8 @@ def parse_poset_json(text):
 
 
 def write_poset_json(p):
+    import json
+
     data = {
         "elements": list(p.labels),
         "relations": [[p.labels[a], p.labels[b]] for a, b in p.covers],

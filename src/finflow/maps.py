@@ -4,12 +4,9 @@ On a finite space continuity is the same thing as order preservation, so a
 map is stored as its value table and validated against the cover relation.
 """
 
-from __future__ import annotations
-
 from collections import deque
 
 from .errors import SizeLimitError
-from .poset import elements_of
 
 FENCE_BUDGET = 50_000
 
@@ -183,7 +180,8 @@ def _monotone_tables(poset, allowed):
 
     Depth-first over the elements in increasing height with an explicit
     stack, so deep posets need no recursion: the candidates for f(x) are
-    the members of ``allowed[x]`` above the images of x's lower covers.
+    the members of ``allowed[x]`` above the images of x's lower covers,
+    drawn one at a time, so the first table costs one candidate per element.
     Yields one list, updated in place; copy it to keep it.
     """
     n = poset.n
@@ -194,7 +192,7 @@ def _monotone_tables(poset, allowed):
         cand = allowed[x]
         for w in poset.lower_covers(x):
             cand &= poset.up_set(values[w])
-        return iter(elements_of(cand))
+        return _ascending(cand)
 
     if n == 0:
         yield values
@@ -212,6 +210,14 @@ def _monotone_tables(poset, allowed):
             yield values
         else:
             stack.append(candidates(order[k]))
+
+
+def _ascending(mask):
+    """Yield the indices in ``mask`` in ascending order, one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def fence_homotopic(f, g, max_steps=None, budget=FENCE_BUDGET):

@@ -8,8 +8,6 @@ sets are exactly the lower sets, and ``down_set(x)`` is the minimal open
 set containing ``x``.
 """
 
-from __future__ import annotations
-
 from .errors import CycleError, UnknownLabelError, check_size
 
 ISOMORPHISM_LIMIT = 16

@@ -10,10 +10,6 @@ down-beat test as its only rule; the witness of a point is that set's part
 below it, in scan order.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
 from .poset import _extremal, _top, elements_of, mask_of
@@ -21,20 +17,35 @@ from .poset import _extremal, _top, elements_of, mask_of
 SEARCH_LIMIT = 16
 
 
-@dataclass(frozen=True)
 class RemovalSequence:
     """Ordered beat-point deletions ending at the witnessed point.
 
     ``heights`` are measured in the original space and never decrease
-    along the sequence.
+    along the sequence.  Both are stored as tuples and cannot be reassigned.
     """
 
-    points: tuple
-    heights: tuple
+    __slots__ = ("points", "heights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "heights", tuple(self.heights))
+    def __init__(self, points, heights):
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "heights", tuple(heights))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, RemovalSequence):
+            return NotImplemented
+        return (self.points, self.heights) == (other.points, other.heights)
+
+    def __hash__(self):
+        return hash((self.points, self.heights))
+
+    def __repr__(self):
+        return f"RemovalSequence(points={self.points!r}, heights={self.heights!r})"
 
     def __len__(self):
         return len(self.points)

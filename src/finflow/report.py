@@ -1,10 +1,5 @@
 """Aggregated analysis results with lossless JSON round-tripping."""
 
-from __future__ import annotations
-
-import json
-from dataclasses import dataclass, fields
-
 from . import reduction, semiflow
 from .errors import SchemaError
 from .poset import elements_of
@@ -12,31 +7,38 @@ from .poset import elements_of
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class AnalysisReport:
     """Everything the analyzer knows about one space, in JSON-able form.
 
-    Semiflow maps are listed in canonical (lexicographic value table)
-    order with identity entries omitted.
+    Fields are set by keyword or position, may be reassigned, and are
+    compared one by one.  Semiflow maps are listed in canonical
+    (lexicographic value table) order with identity entries omitted.
     """
 
-    labels: list
-    covers: list
-    heights: list
-    down_beat_points: list
-    up_beat_points: list
-    is_minimal: bool
-    core_labels: list
-    core_trace: list
-    potential_points: list
-    s_f: int
-    nontrivial_semiflows: list
-    bounds_checked: list
-    schema: int = SCHEMA_VERSION
+    __slots__ = ("labels", "covers", "heights", "down_beat_points", "up_beat_points",
+                 "is_minimal", "core_labels", "core_trace", "potential_points", "s_f",
+                 "nontrivial_semiflows", "bounds_checked", "schema")
+
+    def __init__(self, labels, covers, heights, down_beat_points, up_beat_points,
+                 is_minimal, core_labels, core_trace, potential_points, s_f,
+                 nontrivial_semiflows, bounds_checked, schema=SCHEMA_VERSION):
+        values = (labels, covers, heights, down_beat_points, up_beat_points,
+                  is_minimal, core_labels, core_trace, potential_points, s_f,
+                  nontrivial_semiflows, bounds_checked, schema)
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnalysisReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return f"AnalysisReport({', '.join(f'{k}={v!r}' for k, v in self.to_dict().items())})"
 
     def to_dict(self):
         """The fields by name; nested lists are shared, not copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, data):
@@ -44,17 +46,20 @@ class AnalysisReport:
             raise SchemaError("report must be an object")
         if data.get("schema") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema: {data.get('schema')!r}")
-        names = {f.name for f in fields(cls)}
-        missing = names - data.keys()
+        missing = set(cls.__slots__) - data.keys()
         if missing:
             raise SchemaError(f"report is missing fields: {sorted(missing)}")
-        return cls(**{k: v for k, v in data.items() if k in names})
+        return cls(**{k: v for k, v in data.items() if k in cls.__slots__})
 
     def to_json(self):
+        import json
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text):
+        import json
+
         try:
             return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:

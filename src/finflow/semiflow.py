@@ -13,12 +13,9 @@ plus x, dropped to its down cover there.  The enumerator lists these sets
 with that test as its only rule; monotonicity and idempotence follow.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import reduction
 from .errors import NegativeTimeError, check_size
@@ -165,19 +162,9 @@ def brute_force_oracle(p, max_n=None):
 # -- counting and verification ------------------------------------------------
 
 
-class BoundCheck(NamedTuple):
-    name: str
-    satisfied: bool
-    detail: str
+BoundCheck = namedtuple("BoundCheck", "name satisfied detail")
 
-
-@dataclass
-class CountReport:
-    s_f: int
-    nontrivial: int
-    d_size: int
-    potential: int
-    bounds_checked: list
+CountReport = namedtuple("CountReport", "s_f nontrivial d_size potential bounds_checked")
 
 
 def movable_points(p, max_n=None):

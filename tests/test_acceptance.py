@@ -172,7 +172,7 @@ def test_c12_contractible_without_semiflows():
     _ok(12, "cone over the pseudo-circle: singleton core, S_F=1")
 
 
-def test_c13_io_and_cli(tmp_path, capsys, monkeypatch):
+def test_c13_io_and_cli(tmp_path):
     # lossless round-trips
     for p in (families.example_3_1(), families.realization_family(2),
               families.antichain(3)):
@@ -190,18 +190,10 @@ def test_c13_io_and_cli(tmp_path, capsys, monkeypatch):
         assert cli.run_cli(["verify", str(path)]) == 0
     assert cli.run_cli(["random-suite", "--count", "10", "--max-n", "7",
                         "--seed", "23"]) == 0
-    capsys.readouterr()
-
-    # byte-identical listings across thread counts
-    listing = tmp_path / "ex31.txt"
-    listing.write_text(write_poset_text(families.example_3_1()))
-    outputs = set()
-    for threads in ("1", "2", "4"):
-        assert cli.run_cli(["semiflows", str(listing), "--list"]) == 0
-        outputs.add(capsys.readouterr().out)
-    assert len(outputs) == 1
 
     # byte-identical stdout from fresh interpreters across hash seeds
+    listing = tmp_path / "ex31.txt"
+    listing.write_text(write_poset_text(families.example_3_1()))
     src = str(Path(cli.__file__).parents[1])
     for args in (["semiflows", str(listing), "--list"], ["verify", str(listing)]):
         outputs = {subprocess.run(
@@ -209,4 +201,4 @@ def test_c13_io_and_cli(tmp_path, capsys, monkeypatch):
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
             for seed in ("0", "1", "2")}
         assert len(outputs) == 1
-    _ok(13, "round-trips lossless, verify green, listings thread-stable")
+    _ok(13, "round-trips lossless, verify green, stdout stable across hash seeds")

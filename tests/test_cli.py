@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from finflow import cli, families
+from finflow import cli, families, semiflow
 from finflow.formats import write_poset_json, write_poset_text
 from finflow.semiflow import BoundCheck
 
@@ -72,7 +72,7 @@ def test_verify_exit_zero(capsys, ex31_file):
 def test_verify_reports_failures(capsys, ex31_file, monkeypatch):
     def fake(p, max_n=None):
         return [BoundCheck("made_up", False, "broken on purpose")]
-    monkeypatch.setattr(cli.semiflow, "full_verification", fake)
+    monkeypatch.setattr(semiflow, "full_verification", fake)
     code, out, _ = run(capsys, "verify", ex31_file)
     assert code == 2
     assert "FAIL made_up" in out

@@ -1,6 +1,6 @@
 import pytest
 
-from finflow import families
+from finflow import families, maps
 from finflow.errors import SizeLimitError
 from finflow.maps import (MonotoneMap, fence_homotopic, is_monotone,
                           monotone_self_maps)
@@ -160,3 +160,18 @@ def test_from_moves_and_as_moves_round_trip():
 def test_self_maps_need_no_recursion():
     # one search level per element: 1100 levels used to exceed the recursion limit
     assert next(monotone_self_maps(families.antichain(1100))).values == (0,) * 1100
+
+
+def test_self_maps_draw_candidates_lazily(monkeypatch):
+    # the first map takes one candidate per element, not a list of all 1100
+    drawn = []
+    ascending = maps._ascending
+
+    def counted(mask):
+        for x in ascending(mask):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(maps, "_ascending", counted)
+    assert next(monotone_self_maps(families.antichain(1100))).values == (0,) * 1100
+    assert drawn == [0] * 1100
