@@ -5,6 +5,7 @@ subset enumeration instead of the DP, monotonicity over all pairs instead
 of covers, lower sets straight from the definition.
 """
 
+import itertools
 import random
 from itertools import combinations, permutations
 
@@ -258,6 +259,28 @@ def reference_law_checks(p, flows):
         all(sf.trivial or len(set(sf.retraction.values)) < p.n for sf in flows),
         "non-trivial semiflow maps collapse at least one pair"))
     return checks
+
+
+def reference_product_oracle(p):
+    """Idempotent monotone tables in the product of down-sets, from the definitions.
+
+    Calls ``p.leq`` once per strictly comparable pair and tests idempotence
+    point by point, independent of the bitmask tests in
+    ``semiflow.brute_force_oracle``.  Returns the maps sorted by value table.
+    """
+    from finflow.maps import MonotoneMap
+
+    pools = [elements_of(p.down_set(x)) for x in range(p.n)]
+    lt_pairs = [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
+    out = []
+    for values in itertools.product(*pools):
+        if any(not p.leq(values[x], values[y]) for x, y in lt_pairs):
+            continue
+        if any(values[values[x]] != values[x] for x in range(p.n)):
+            continue
+        out.append(MonotoneMap(p, values))
+    out.sort(key=lambda f: f.values)
+    return out
 
 
 def reference_semiflow_tables(p, budget):

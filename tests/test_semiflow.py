@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from finflow import families, reduction, report
@@ -11,7 +14,8 @@ from finflow.semiflow import (Semiflow, _law_checks, assert_flow_triviality,
                               max_disjoint_antichain, movable_points,
                               semigroup_law_check, verify_counting_results)
 
-from helpers import disjoint_union, reference_law_checks, reference_semiflow_tables
+from helpers import (disjoint_union, reference_law_checks, reference_product_oracle,
+                     reference_semiflow_tables, shuffled_relations)
 
 # frozen by hand and confirmed by the brute-force oracle below
 EX31_NONTRIVIAL = [
@@ -88,6 +92,41 @@ def test_law_checks_catch_broken_flows():
                       "time_monotone", "flow_triviality_nonbijective"}
 
 
+class OneTimeOff(Semiflow):
+    """A canonical flow whose state table is ``table`` at time ``time`` only.
+
+    ``at`` builds a fresh tuple at that time on every call, and ``evaluate``
+    reads ``at``, so the table-wise and the point-wise checks see one flow.
+    """
+
+    __slots__ = ("time", "table")
+
+    def __init__(self, space, values, time, table):
+        super().__init__(space, MonotoneMap(space, values), validate=False)
+        self.time, self.table = time, list(table)
+
+    def at(self, t):
+        return tuple(self.table) if t == self.time else super().at(t)
+
+    def evaluate(self, t, x):
+        return self.at(t)[x]
+
+
+@pytest.mark.parametrize("time, table, fails", [
+    (0.75, (1, 1, 2), "orbit_containment"),  # 0 goes up, only at 0.75
+    (3.0, (0, 2, 2), "time_monotone"),  # 1 goes up, only at 3.0
+    (0, (0, 0, 1), "semigroup_law time_monotone"),  # time 0 is not the identity
+])
+def test_law_checks_read_every_sample_time(time, table, fails):
+    c3 = families.chain(3)
+    for values in ((0, 1, 2), (0, 0, 2)):
+        sf = OneTimeOff(c3, values, time, table)
+        for flows in ([sf], [sf, *enumerate_semiflows(c3)], [*enumerate_semiflows(c3), sf]):
+            checks = _law_checks(c3, flows)
+            assert checks == reference_law_checks(c3, flows)
+            assert {c.name for c in checks if not c.satisfied} == set(fails.split())
+
+
 def test_semigroup_law_check():
     p = families.example_3_1()
     for sf in enumerate_semiflows(p):
@@ -149,6 +188,32 @@ def test_oracle_agrees_with_enumerator_on_families(corpus_flows):
     for p, flows in corpus_flows[:25]:
         assert [sf.retraction.values for sf in flows] == \
             [m.values for m in brute_force_oracle(p)]
+
+
+def test_oracle_matches_reference_product_filter():
+    spaces = families.random_corpus(120, 8, 4242)
+    rng = random.Random(4242)
+    for _ in range(80):
+        p = families.random_poset(rng.randint(1, 8), rng.random(), rng.getrandbits(32))
+        spaces.append(Poset.from_relations(*shuffled_relations(p, rng)))
+    for p in spaces:
+        assert [m.values for m in brute_force_oracle(p)] == \
+            [m.values for m in reference_product_oracle(p)], p.labels
+
+
+def test_oracle_draws_the_full_product(monkeypatch):
+    drawn = 0
+    product = itertools.product
+
+    def counted(*pools):
+        nonlocal drawn
+        for values in product(*pools):
+            drawn += 1
+            yield values
+
+    monkeypatch.setattr(itertools, "product", counted)
+    assert len(brute_force_oracle(families.chain(8))) == 2 ** 7
+    assert drawn == 40_320
 
 
 def test_enumerator_matches_below_identity_listing():
