@@ -23,18 +23,16 @@ _EXPORTS = {
                  "random_poset", "realization_family"),
     "formats": ("parse_poset_json", "parse_poset_text", "to_dot",
                 "write_poset_json", "write_poset_text"),
-    "maps": ("MonotoneMap", "fence_homotopic", "is_monotone", "monotone_self_maps"),
-    "poset": ("Poset", "elements_of", "is_isomorphic", "mask_of"),
+    "maps": ("MonotoneMap", "is_monotone"),
+    "poset": ("Poset", "elements_of", "mask_of"),
     "prng": ("Xorshift64Star",),
     "reduction": ("RemovalSequence", "beat_points", "core", "down_beat_points",
                   "down_cover", "is_minimal_space", "potential_down_beat_points",
                   "removal_sequence_for", "retraction_from_sequence",
                   "up_beat_points", "validate_removal_sequence"),
     "report": ("AnalysisReport", "analyze"),
-    "semiflow": ("BoundCheck", "CountReport", "Semiflow", "assert_flow_triviality",
-                 "brute_force_oracle", "count_semiflows", "enumerate_semiflows",
-                 "full_verification", "max_disjoint_antichain", "movable_points",
-                 "semigroup_law_check", "verify_counting_results"),
+    "semiflow": ("BoundCheck", "Semiflow", "brute_force_oracle", "enumerate_semiflows",
+                 "full_verification", "verify_counting_results"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

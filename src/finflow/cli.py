@@ -94,7 +94,7 @@ def _cmd_semiflows(args):
     flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
     if args.oracle:
         oracle = semiflow.brute_force_oracle(p, max_n=args.limit)
-        if [sf.retraction.values for sf in flows] != [m.values for m in oracle]:
+        if not semiflow._agrees_with_oracle(flows, oracle):
             print("error: enumerator and brute-force oracle disagree", file=sys.stderr)
             return EXIT_VERIFY
     if args.list:

@@ -1,14 +1,8 @@
-"""Order-preserving self-maps, retraction predicates, and homotopy fences.
+"""Order-preserving self-maps and retraction predicates.
 
 On a finite space continuity is the same thing as order preservation, so a
 map is stored as its value table and validated against the cover relation.
 """
-
-from collections import deque
-
-from .errors import SizeLimitError
-
-FENCE_BUDGET = 50_000
 
 
 def is_monotone(poset, values):
@@ -149,111 +143,3 @@ class MonotoneMap:
         so nothing further needs checking.
         """
         return self.below_identity() and self.is_idempotent()
-
-
-def monotone_self_maps(poset, limit=None):
-    """Yield every monotone self-map of ``poset``.
-
-    Backtracks over elements in increasing height; the candidates for f(x)
-    are the common upper bounds of the images of x's lower covers.  Raises
-    SizeLimitError once more than ``limit`` maps have been produced.
-    """
-    produced = 0
-    for values in _monotone_tables(poset, [poset.full_mask] * poset.n):
-        produced += 1
-        if limit is not None and produced > limit:
-            raise SizeLimitError(f"more than {limit} monotone self-maps")
-        yield MonotoneMap(poset, values)
-
-
-def _one_step_neighbours(poset, base):
-    """Monotone maps comparable with ``base`` (one fence step away)."""
-    for bound in (poset.up_set, poset.down_set):
-        for values in _monotone_tables(poset, [bound(v) for v in base]):
-            v = tuple(values)
-            if v != base:
-                yield v
-
-
-def _monotone_tables(poset, allowed):
-    """Yield the value table of every monotone map with ``f(x)`` in ``allowed[x]``.
-
-    Depth-first over the elements in increasing height with an explicit
-    stack, so deep posets need no recursion: the candidates for f(x) are
-    the members of ``allowed[x]`` above the images of x's lower covers,
-    drawn one at a time, so the first table costs one candidate per element.
-    Yields one list, updated in place; copy it to keep it.
-    """
-    n = poset.n
-    order = poset._order
-    values = [0] * n
-
-    def candidates(x):
-        cand = allowed[x]
-        for w in poset.lower_covers(x):
-            cand &= poset.up_set(values[w])
-        return _ascending(cand)
-
-    if n == 0:
-        yield values
-        return
-    # stack[k] iterates the candidate images of order[k]
-    stack = [candidates(order[0])]
-    while stack:
-        y = next(stack[-1], None)
-        if y is None:
-            stack.pop()
-            continue
-        k = len(stack)
-        values[order[k - 1]] = y
-        if k == n:
-            yield values
-        else:
-            stack.append(candidates(order[k]))
-
-
-def _ascending(mask):
-    """Yield the indices in ``mask`` in ascending order, one at a time."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def fence_homotopic(f, g, max_steps=None, budget=FENCE_BUDGET):
-    """Search for a fence of pointwise comparisons joining f and g.
-
-    Breadth-first over the comparability graph of monotone self-maps with
-    lazily generated neighbours.  Returns the fence as a list of maps (a
-    single-entry list when f equals g) or None when no fence exists within
-    ``max_steps`` comparisons.  This is a test oracle: it cross-checks the
-    one-step fence used by ``is_strong_deformation_retraction`` and the
-    rigidity of minimal spaces, and is never on a production path.
-
-    Raises SizeLimitError when the search visits more than ``budget`` maps.
-    """
-    f._require_same_poset(g)
-    p = f.poset
-    start, goal = f.values, g.values
-    if start == goal:
-        return [f]
-    parents = {start: None}
-    frontier = deque([(start, 0)])
-    while frontier:
-        cur, depth = frontier.popleft()
-        if max_steps is not None and depth >= max_steps:
-            continue
-        for nxt in _one_step_neighbours(p, cur):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            if len(parents) > budget:
-                raise SizeLimitError("fence search exceeded its map budget")
-            if nxt == goal:
-                chain = [nxt]
-                while parents[chain[-1]] is not None:
-                    chain.append(parents[chain[-1]])
-                chain.reverse()
-                return [MonotoneMap(p, v) for v in chain]
-            frontier.append((nxt, depth + 1))
-    return None

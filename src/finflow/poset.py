@@ -8,9 +8,7 @@ sets are exactly the lower sets, and ``down_set(x)`` is the minimal open
 set containing ``x``.
 """
 
-from .errors import CycleError, UnknownLabelError, check_size
-
-ISOMORPHISM_LIMIT = 16
+from .errors import CycleError, UnknownLabelError
 
 
 def mask_of(indices):
@@ -304,64 +302,3 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
-
-
-def is_isomorphic(p, q, max_n=None):
-    """Exact order-isomorphism test by backtracking.
-
-    Candidates are pruned by per-element invariants (height, down/up set
-    sizes, cover degrees).  Worst case exponential, hence the size guard;
-    it is only meant for small cores.
-    """
-    check_size("isomorphism test", max(p.n, q.n), ISOMORPHISM_LIMIT, max_n)
-    if p.n != q.n:
-        return False
-
-    def profile(r, x):
-        return (r.heights[x], r.down_set(x).bit_count(), r.up_set(x).bit_count(),
-                len(r.lower_covers(x)), len(r.upper_covers(x)))
-
-    pprof = [profile(p, x) for x in range(p.n)]
-    qprof = [profile(q, x) for x in range(q.n)]
-    if sorted(pprof) != sorted(qprof):
-        return False
-    cands = {}
-    for y, prof in enumerate(qprof):
-        cands.setdefault(prof, []).append(y)
-    mapped = [-1] * p.n
-
-    def images(x, seen):
-        """Images of ``x`` that agree with the points mapped onto ``seen``.
-
-        Points are mapped in scan order and keep their heights, so ``seen``
-        holds every point of ``q`` lower than ``y`` and none above it.  So
-        ``y`` agrees exactly when its down-set within ``seen`` is the image
-        of the strict down-set of ``x``, the union of the down-sets of its
-        lower covers' images; that also keeps ``y`` out of ``seen``.
-        """
-        below = 0
-        for c in p._lower_covers[x]:
-            below |= q._down[mapped[c]]
-        for y in cands[pprof[x]]:
-            if q._down[y] & seen == below:
-                yield y
-
-    if p.n == 0:
-        return True
-    order = p._order
-    # stack[k] iterates the images of order[k] and holds those of order[:k]:
-    # deep posets need no recursion
-    stack = [(images(order[0], 0), 0)]
-    while stack:
-        todo, seen = stack[-1]
-        y = next(todo, None)
-        if y is None:
-            stack.pop()
-            continue
-        k = len(stack)
-        mapped[order[k - 1]] = y
-        if k == p.n:
-            return True
-        seen |= 1 << y
-        stack.append((images(order[k], seen), seen))
-    return False

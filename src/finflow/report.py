@@ -68,11 +68,8 @@ class AnalysisReport:
 
 def analyze(p, max_n=None):
     """Full report: beat structure, core, potential points, semiflow census."""
-    flows = semiflow.enumerate_semiflows(p, max_n=max_n)
-    down = reduction.down_beat_points(p)
+    flows, down, pot, checks = semiflow._census(p, max_n)
     up = reduction.up_beat_points(p)
-    pot = reduction.potential_down_beat_points(p, max_n=max_n)
-    checks = semiflow._counting_checks(p, flows, down, pot)
     core_poset, trace = reduction.core(p)
     return AnalysisReport(
         labels=list(p.labels),

@@ -11,6 +11,10 @@ Such a map is determined by its fixed points F, as r(x) = max(F & down(x)),
 and F gives one exactly when each x outside F is a down beat point of F
 plus x, dropped to its down cover there.  The enumerator lists these sets
 with that test as its only rule; monotonicity and idempotence follow.
+
+The counting checks read the semiflows, the down beat points D and the
+potential down beat points R*; ``_census`` derives all four once per call
+for ``verify_counting_results``, ``full_verification`` and ``report.analyze``.
 """
 
 import itertools
@@ -78,25 +82,16 @@ def _positive(t):
     return t != 0
 
 
-def semigroup_law_check(sf):
-    """Check ``evaluate(s, evaluate(t, x)) == evaluate(s + t, x)`` exactly.
-
-    ``evaluate`` depends on a time only through whether it is zero, so the
-    four classes ``(s, t)`` in ``{0, 1}**2`` stand for every pair of
-    non-negative times.  Works on hand-built flows that skipped validation,
-    which is the point: at s, t > 0 the law is exactly idempotence of the
-    time-positive map, and this check does not assume it.
-    """
-    return _law_holds({t: sf.at(t) for t in _LAW_TIMES})
-
-
 def _law_holds(tab):
     """The semigroup law on the state tables ``tab`` at times 0, 1 and 2.
 
-    Each class ``(s, t)`` composes ``tab[s]`` after ``tab[t]`` and compares
-    the result with ``tab[s + t]``.  When ``tab[0]`` is the identity, the
-    classes with a zero time hold by the identity laws, so only ``(1, 1)``
-    is composed.
+    A semiflow reads a time only through whether it is zero, so the four
+    classes ``(s, t)`` in ``{0, 1}**2`` stand for every pair of non-negative
+    times.  Each class composes ``tab[s]`` after ``tab[t]`` and compares the
+    result with ``tab[s + t]``; idempotence is not assumed, so a hand-built
+    flow that skipped validation fails at s, t > 0.  When ``tab[0]`` is the
+    identity, the classes with a zero time hold by the identity laws, so only
+    ``(1, 1)`` is composed.
     """
     zero, one, two = tab[0], tab[1], tab[2]
     return (tuple(map(one.__getitem__, one)) == two
@@ -173,32 +168,19 @@ def brute_force_oracle(p, max_n=None):
     return out
 
 
+def _agrees_with_oracle(flows, oracle):
+    """Whether the enumerated ``flows`` and the ``oracle`` maps list the same tables."""
+    return [sf.retraction.values for sf in flows] == [m.values for m in oracle]
+
+
 # -- counting and verification ------------------------------------------------
 
 
 BoundCheck = namedtuple("BoundCheck", "name satisfied detail")
 
-CountReport = namedtuple("CountReport", "s_f nontrivial d_size potential bounds_checked")
-
-
-def movable_points(p, max_n=None):
-    """Points moved by at least one semiflow."""
-    moved = 0
-    for sf in enumerate_semiflows(p, max_n=max_n):
-        moved |= sf.retraction.moved_points()
-    return moved
-
-
-def max_disjoint_antichain(p, max_n=None):
-    """Largest set of potential down beat points with pairwise disjoint down-sets.
-
-    Disjoint down-sets force incomparability, so the result is an antichain
-    automatically.  Exhaustive branch-and-bound over the potential points.
-    """
-    return _max_disjoint(p, reduction.potential_down_beat_points(p, max_n=max_n))
-
 
 def _max_disjoint(p, pot_mask):
+    """Largest subset of ``pot_mask`` with pairwise disjoint down-sets: an antichain."""
     cands = elements_of(pot_mask)
     best = 0
     # (i, chosen, union of their down-sets): cands[i:] is undecided.  The
@@ -219,12 +201,21 @@ def _max_disjoint(p, pot_mask):
     return best
 
 
-def verify_counting_results(p, max_n=None, flows=None):
-    """Evaluate the counting claims; failures carry a counterexample payload."""
+_Census = namedtuple("_Census", "flows down pot checks")
+
+
+def _census(p, max_n=None, flows=None):
+    """The semiflows (unless given), D and R* of ``p``, and the counting checks on them."""
     if flows is None:
         flows = enumerate_semiflows(p, max_n=max_n)
-    return _counting_checks(p, flows, reduction.down_beat_points(p),
-                            reduction.potential_down_beat_points(p, max_n=max_n))
+    down = reduction.down_beat_points(p)
+    pot = reduction.potential_down_beat_points(p, max_n=max_n)
+    return _Census(flows, down, pot, _counting_checks(p, flows, down, pot))
+
+
+def verify_counting_results(p, max_n=None, flows=None):
+    """Evaluate the counting claims; failures carry a counterexample payload."""
+    return _census(p, max_n, flows).checks
 
 
 def _counting_checks(p, flows, d_mask, pot_mask):
@@ -284,32 +275,6 @@ def _counting_checks(p, flows, d_mask, pot_mask):
     return checks
 
 
-def count_semiflows(p, max_n=None):
-    """Semiflow census with the counting claims evaluated alongside."""
-    flows = enumerate_semiflows(p, max_n=max_n)
-    d_mask = reduction.down_beat_points(p)
-    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
-    return CountReport(
-        s_f=len(flows),
-        nontrivial=len(flows) - 1,
-        d_size=d_mask.bit_count(),
-        potential=pot_mask.bit_count(),
-        bounds_checked=_counting_checks(p, flows, d_mask, pot_mask),
-    )
-
-
-def assert_flow_triviality(p, max_n=None):
-    """True iff every non-trivial semiflow map is non-bijective.
-
-    A non-bijective map extends to no flow over the whole real line, which
-    is the entire mechanism behind flow triviality on finite spaces.
-    """
-    for sf in enumerate_semiflows(p, max_n=max_n):
-        if not sf.trivial and len(set(sf.retraction.values)) == p.n:
-            return False
-    return True
-
-
 # The times at which full_verification samples each semiflow.
 _ORBIT_TIMES = (0, 0.75, 2.0)
 _FLOOR_TIMES = (0, 1.0)
@@ -363,11 +328,7 @@ def full_verification(p, max_n=None):
     This is what the CLI ``verify`` command runs; every entry must be
     satisfied on any input.
     """
-    flows = enumerate_semiflows(p, max_n=max_n)
-    d_mask = reduction.down_beat_points(p)
-    pot_mask = reduction.potential_down_beat_points(p, max_n=max_n)
-    checks = _counting_checks(p, flows, d_mask, pot_mask)
-
+    flows, d_mask, pot_mask, checks = _census(p, max_n)
     checks += _law_checks(p, flows)
 
     core_poset, trace = reduction.core(p)
@@ -398,7 +359,7 @@ def full_verification(p, max_n=None):
 
     if p.n <= ORACLE_LIMIT:
         oracle = brute_force_oracle(p)
-        ok = [sf.retraction.values for sf in flows] == [m.values for m in oracle]
+        ok = _agrees_with_oracle(flows, oracle)
         checks.append(BoundCheck(
             "oracle_agreement", ok,
             f"enumerator and brute force both list {len(flows)} maps" if ok

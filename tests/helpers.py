@@ -2,14 +2,22 @@
 
 Everything here deliberately avoids the code paths it checks: heights via
 subset enumeration instead of the DP, monotonicity over all pairs instead
-of covers, lower sets straight from the definition.
+of covers, lower sets straight from the definition.  The searches at the
+end (order isomorphism, monotone self-maps and homotopy fences) have no
+caller in the library; they check cores, retractions and the enumerator.
 """
 
 import itertools
 import random
+from collections import deque
 from itertools import combinations, permutations
 
-from finflow.poset import elements_of
+from finflow.errors import SizeLimitError, check_size
+from finflow.maps import MonotoneMap
+from finflow.poset import elements_of, mask_of
+
+ISOMORPHISM_LIMIT = 16
+FENCE_BUDGET = 50_000
 
 
 def brute_height(p, x):
@@ -268,8 +276,6 @@ def reference_product_oracle(p):
     point by point, independent of the bitmask tests in
     ``semiflow.brute_force_oracle``.  Returns the maps sorted by value table.
     """
-    from finflow.maps import MonotoneMap
-
     pools = [elements_of(p.down_set(x)) for x in range(p.n)]
     lt_pairs = [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
     out = []
@@ -287,12 +293,10 @@ def reference_semiflow_tables(p, budget):
     """Idempotent members of every monotone map below the identity, sorted.
 
     Lists the maps with ``f(x)`` in the down-set of ``x`` through
-    ``maps._monotone_tables`` and keeps the idempotent ones, so it shares
+    ``_monotone_tables`` and keeps the idempotent ones, so it shares
     no rule with the enumerator's fixed-point-set search.  Returns None
     once the listing passes ``budget`` maps.
     """
-    from finflow.maps import _monotone_tables
-
     out = []
     listed = 0
     for values in _monotone_tables(p, [p.down_set(x) for x in range(p.n)]):
@@ -302,6 +306,16 @@ def reference_semiflow_tables(p, budget):
         if all(values[y] == y for y in values):
             out.append(tuple(values))
     return sorted(out)
+
+
+def reference_movable(p):
+    """Points moved by at least one semiflow, read off every enumerated value table."""
+    from finflow.semiflow import enumerate_semiflows
+
+    moved = 0
+    for sf in enumerate_semiflows(p):
+        moved |= mask_of(x for x, v in enumerate(sf.retraction.values) if v != x)
+    return moved
 
 
 def reference_removal_search(p, strict_heights=False):
@@ -350,3 +364,171 @@ def reference_removal_search(p, strict_heights=False):
         seen.add(state)
         stack.append((state[0], removable(*state)))
     return witnesses
+
+
+def is_isomorphic(p, q, max_n=None):
+    """Exact order-isomorphism test by backtracking.
+
+    Candidates are pruned by per-element invariants (height, down/up set
+    sizes, cover degrees).  Worst case exponential, hence the size guard;
+    it is only meant for small cores.
+    """
+    check_size("isomorphism test", max(p.n, q.n), ISOMORPHISM_LIMIT, max_n)
+    if p.n != q.n:
+        return False
+
+    def profile(r, x):
+        return (r.heights[x], r.down_set(x).bit_count(), r.up_set(x).bit_count(),
+                len(r.lower_covers(x)), len(r.upper_covers(x)))
+
+    pprof = [profile(p, x) for x in range(p.n)]
+    qprof = [profile(q, x) for x in range(q.n)]
+    if sorted(pprof) != sorted(qprof):
+        return False
+    cands = {}
+    for y, prof in enumerate(qprof):
+        cands.setdefault(prof, []).append(y)
+    mapped = [-1] * p.n
+
+    def images(x, seen):
+        """Images of ``x`` that agree with the points mapped onto ``seen``.
+
+        Points are mapped in scan order and keep their heights, so ``seen``
+        holds every point of ``q`` lower than ``y`` and none above it.  So
+        ``y`` agrees exactly when its down-set within ``seen`` is the image
+        of the strict down-set of ``x``, the union of the down-sets of its
+        lower covers' images; that also keeps ``y`` out of ``seen``.
+        """
+        below = 0
+        for c in p._lower_covers[x]:
+            below |= q._down[mapped[c]]
+        for y in cands[pprof[x]]:
+            if q._down[y] & seen == below:
+                yield y
+
+    if p.n == 0:
+        return True
+    order = p._order
+    # stack[k] iterates the images of order[k] and holds those of order[:k]:
+    # deep posets need no recursion
+    stack = [(images(order[0], 0), 0)]
+    while stack:
+        todo, seen = stack[-1]
+        y = next(todo, None)
+        if y is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        mapped[order[k - 1]] = y
+        if k == p.n:
+            return True
+        seen |= 1 << y
+        stack.append((images(order[k], seen), seen))
+    return False
+
+
+def monotone_self_maps(poset, limit=None):
+    """Yield every monotone self-map of ``poset``.
+
+    Backtracks over elements in increasing height; the candidates for f(x)
+    are the common upper bounds of the images of x's lower covers.  Raises
+    SizeLimitError once more than ``limit`` maps have been produced.
+    """
+    produced = 0
+    for values in _monotone_tables(poset, [poset.full_mask] * poset.n):
+        produced += 1
+        if limit is not None and produced > limit:
+            raise SizeLimitError(f"more than {limit} monotone self-maps")
+        yield MonotoneMap(poset, values)
+
+
+def _one_step_neighbours(poset, base):
+    """Monotone maps comparable with ``base`` (one fence step away)."""
+    for bound in (poset.up_set, poset.down_set):
+        for values in _monotone_tables(poset, [bound(v) for v in base]):
+            v = tuple(values)
+            if v != base:
+                yield v
+
+
+def _monotone_tables(poset, allowed):
+    """Yield the value table of every monotone map with ``f(x)`` in ``allowed[x]``.
+
+    Depth-first over the elements in increasing height with an explicit
+    stack, so deep posets need no recursion: the candidates for f(x) are
+    the members of ``allowed[x]`` above the images of x's lower covers,
+    drawn one at a time, so the first table costs one candidate per element.
+    Yields one list, updated in place; copy it to keep it.
+    """
+    n = poset.n
+    order = poset._order
+    values = [0] * n
+
+    def candidates(x):
+        cand = allowed[x]
+        for w in poset.lower_covers(x):
+            cand &= poset.up_set(values[w])
+        return _ascending(cand)
+
+    if n == 0:
+        yield values
+        return
+    # stack[k] iterates the candidate images of order[k]
+    stack = [candidates(order[0])]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        k = len(stack)
+        values[order[k - 1]] = y
+        if k == n:
+            yield values
+        else:
+            stack.append(candidates(order[k]))
+
+
+def _ascending(mask):
+    """Yield the indices in ``mask`` in ascending order, one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def fence_homotopic(f, g, max_steps=None, budget=FENCE_BUDGET):
+    """Search for a fence of pointwise comparisons joining f and g.
+
+    Breadth-first over the comparability graph of monotone self-maps with
+    lazily generated neighbours.  Returns the fence as a list of maps (a
+    single-entry list when f equals g) or None when no fence exists within
+    ``max_steps`` comparisons.  It cross-checks the one-step fence used by
+    ``is_strong_deformation_retraction`` and the rigidity of minimal spaces.
+
+    Raises SizeLimitError when the search visits more than ``budget`` maps.
+    """
+    f._require_same_poset(g)
+    p = f.poset
+    start, goal = f.values, g.values
+    if start == goal:
+        return [f]
+    parents = {start: None}
+    frontier = deque([(start, 0)])
+    while frontier:
+        cur, depth = frontier.popleft()
+        if max_steps is not None and depth >= max_steps:
+            continue
+        for nxt in _one_step_neighbours(p, cur):
+            if nxt in parents:
+                continue
+            parents[nxt] = cur
+            if len(parents) > budget:
+                raise SizeLimitError("fence search exceeded its map budget")
+            if nxt == goal:
+                chain = [nxt]
+                while parents[chain[-1]] is not None:
+                    chain.append(parents[chain[-1]])
+                chain.reverse()
+                return [MonotoneMap(p, v) for v in chain]
+            frontier.append((nxt, depth + 1))
+    return None

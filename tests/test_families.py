@@ -2,10 +2,11 @@ import pytest
 
 from finflow import families
 from finflow.errors import InvalidSpecError
-from finflow.poset import elements_of, is_isomorphic
 from finflow.prng import Xorshift64Star
 from finflow.reduction import (beat_points, core, down_beat_points,
                                is_minimal_space)
+
+from helpers import is_isomorphic
 
 
 def test_chain_and_antichain_shapes():

@@ -59,3 +59,19 @@ def test_package_names_resolve_lazily():
             "assert not hasattr(finflow, 'no_such_name')\n"
             "print('ok')")
     assert fresh(code) == "ok"
+
+
+def test_public_names():
+    assert sorted(finflow.__all__) == [
+        "AnalysisReport", "BoundCheck", "CycleError", "FinflowError", "GeneratorSpec",
+        "InvalidSequenceError", "InvalidSpecError", "MonotoneMap", "NegativeTimeError",
+        "ParseError", "Poset", "RemovalSequence", "SchemaError", "Semiflow",
+        "SizeLimitError", "UnknownLabelError", "Xorshift64Star", "analyze", "antichain",
+        "beat_points", "brute_force_oracle", "chain", "cone", "core", "down_beat_points",
+        "down_cover", "elements_of", "enumerate_semiflows", "example_2_5", "example_3_1",
+        "full_verification", "is_minimal_space", "is_monotone", "make", "mask_of",
+        "parse_poset_json", "parse_poset_text", "potential_down_beat_points",
+        "pseudo_circle", "random_corpus", "random_poset", "realization_family",
+        "removal_sequence_for", "retraction_from_sequence", "to_dot", "up_beat_points",
+        "validate_removal_sequence", "verify_counting_results", "write_poset_json",
+        "write_poset_text"]

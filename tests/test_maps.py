@@ -1,12 +1,12 @@
 import pytest
 
-from finflow import families, maps
+import helpers
+from finflow import families
 from finflow.errors import SizeLimitError
-from finflow.maps import (MonotoneMap, fence_homotopic, is_monotone,
-                          monotone_self_maps)
+from finflow.maps import MonotoneMap, is_monotone
 from finflow.poset import Poset, mask_of
 
-from helpers import brute_monotone, disjoint_union
+from helpers import brute_monotone, disjoint_union, fence_homotopic, monotone_self_maps
 
 
 def test_is_monotone_examples():
@@ -165,13 +165,13 @@ def test_self_maps_need_no_recursion():
 def test_self_maps_draw_candidates_lazily(monkeypatch):
     # the first map takes one candidate per element, not a list of all 1100
     drawn = []
-    ascending = maps._ascending
+    ascending = helpers._ascending
 
     def counted(mask):
         for x in ascending(mask):
             drawn.append(x)
             yield x
 
-    monkeypatch.setattr(maps, "_ascending", counted)
+    monkeypatch.setattr(helpers, "_ascending", counted)
     assert next(monotone_self_maps(families.antichain(1100))).values == (0,) * 1100
     assert drawn == [0] * 1100

@@ -5,9 +5,9 @@ import pytest
 
 from finflow import families
 from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
-from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
+from finflow.poset import Poset, elements_of, mask_of
 
-from helpers import (brute_height, brute_lower_sets, reference_covers,
+from helpers import (brute_height, brute_lower_sets, is_isomorphic, reference_covers,
                      reference_down_rows, reference_heights, reference_is_isomorphic,
                      reference_is_order, shuffled_relations)
 

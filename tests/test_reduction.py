@@ -4,16 +4,15 @@ import pytest
 
 from finflow import families, reduction
 from finflow.errors import InvalidSequenceError, SizeLimitError
-from finflow.poset import Poset, elements_of, is_isomorphic, mask_of
+from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import (RemovalSequence, beat_points, core,
                                down_beat_points, down_cover, is_minimal_space,
                                potential_down_beat_points,
                                removal_sequence_for, retraction_from_sequence,
                                up_beat_points, validate_removal_sequence)
-from finflow.semiflow import movable_points
 
-from helpers import (brute_down_beats, brute_up_beats, disjoint_union,
-                     reference_core, reference_removal_search,
+from helpers import (brute_down_beats, brute_up_beats, disjoint_union, is_isomorphic,
+                     reference_core, reference_movable, reference_removal_search,
                      shuffled_relations)
 
 
@@ -274,7 +273,7 @@ def test_scan_matches_removal_search_and_movable_points():
         pot = potential_down_beat_points(p)
         assert pot == mask_of(reference_removal_search(p))
         if p.n <= 14:
-            assert pot == movable_points(p)
+            assert pot == reference_movable(p)
         for x in elements_of(pot):
             seq = removal_sequence_for(p, x)
             r = retraction_from_sequence(p, seq)  # validates the sequence
@@ -299,7 +298,7 @@ def test_strict_mode_distinguishing_witness():
     strict = mask_of(reference_removal_search(p, strict_heights=True))
     assert set(p.labels_of(loose)) == {"g1", "g2", "t"}
     assert set(p.labels_of(strict)) == {"g1", "g2"}
-    assert movable_points(p) == loose
+    assert reference_movable(p) == loose
 
     seq = removal_sequence_for(p, p.index_of("t"))
     assert [p.labels[i] for i in seq.points] == ["g1", "g2", "t"]

@@ -1,21 +1,22 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from finflow import families, reduction, report
 from finflow.errors import NegativeTimeError, SizeLimitError
+from finflow.formats import parse_poset_text
 from finflow.maps import MonotoneMap
 from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import down_beat_points, potential_down_beat_points
-from finflow.semiflow import (Semiflow, _law_checks, assert_flow_triviality,
-                              brute_force_oracle, count_semiflows,
-                              enumerate_semiflows, full_verification,
-                              max_disjoint_antichain, movable_points,
-                              semigroup_law_check, verify_counting_results)
+from finflow.semiflow import (Semiflow, _census, _law_checks, _max_disjoint,
+                              brute_force_oracle, enumerate_semiflows,
+                              full_verification, verify_counting_results)
 
-from helpers import (disjoint_union, reference_law_checks, reference_product_oracle,
-                     reference_semiflow_tables, shuffled_relations)
+from helpers import (disjoint_union, reference_law_checks, reference_movable,
+                     reference_product_oracle, reference_semiflow_tables,
+                     shuffled_relations)
 
 # frozen by hand and confirmed by the brute-force oracle below
 EX31_NONTRIVIAL = [
@@ -127,15 +128,20 @@ def test_law_checks_read_every_sample_time(time, table, fails):
             assert {c.name for c in checks if not c.satisfied} == set(fails.split())
 
 
+def law_holds(p, flows, name):
+    """The verdict of the law ``name`` of ``_law_checks`` on ``flows``."""
+    return {c.name: c.satisfied for c in _law_checks(p, flows)}[name]
+
+
 def test_semigroup_law_check():
     p = families.example_3_1()
     for sf in enumerate_semiflows(p):
-        assert semigroup_law_check(sf)
+        assert law_holds(p, [sf], "semigroup_law")
     # a non-idempotent time-positive map breaks the law at s, t > 0
     c3 = families.chain(3)
     bogus = Semiflow(c3, MonotoneMap(c3, [0, 0, 1]), validate=False)
-    assert not semigroup_law_check(bogus)
-    assert semigroup_law_check(Semiflow(c3, MonotoneMap.identity(c3)))
+    assert not law_holds(c3, [bogus], "semigroup_law")
+    assert law_holds(c3, [Semiflow(c3, MonotoneMap.identity(c3))], "semigroup_law")
 
 
 def test_enumerate_example_3_1_exactly():
@@ -248,25 +254,27 @@ def test_size_guards():
     assert len(brute_force_oracle(families.realization_family(3), max_n=11)) == 5
 
 
-def test_count_semiflows_report():
+def test_census():
     p = families.example_3_1()
-    rep = count_semiflows(p)
-    assert rep.s_f == 7 and rep.nontrivial == 6
-    assert rep.d_size == 2 and rep.potential == 3
-    assert rep.s_f >= 2 ** rep.d_size
-    assert all(c.satisfied for c in rep.bounds_checked)
+    c = _census(p)
+    assert len(c.flows) == 7 and sum(not sf.trivial for sf in c.flows) == 6
+    assert c.down.bit_count() == 2 and c.pot.bit_count() == 3
+    assert len(c.flows) >= 2 ** c.down.bit_count()
+    assert all(check.satisfied for check in c.checks)
 
-    anti = count_semiflows(families.antichain(4))
-    assert anti.s_f == 1 and anti.d_size == 0
+    anti = _census(families.antichain(4))
+    assert len(anti.flows) == 1 and anti.down == 0
 
-    x2 = count_semiflows(families.realization_family(2))
-    assert x2.s_f == 4 and x2.d_size == 1
+    x2 = _census(families.realization_family(2))
+    assert len(x2.flows) == 4 and x2.down.bit_count() == 1
 
 
 def test_movable_points():
     p = families.example_3_1()
-    assert set(p.labels_of(movable_points(p))) == {"A", "B", "C"}
-    assert movable_points(families.pseudo_circle()) == 0
+    assert set(p.labels_of(reference_movable(p))) == {"A", "B", "C"}
+    assert reference_movable(families.pseudo_circle()) == 0
+    assert verify_counting_results(p)[4] == (
+        "movable_equals_potential", True, "movable=['A', 'B', 'C'] potential=['A', 'B', 'C']")
 
 
 def test_height_zero_points_never_move(corpus_flows):
@@ -278,15 +286,16 @@ def test_height_zero_points_never_move(corpus_flows):
 
 def test_max_disjoint_antichain():
     p = families.example_3_1()
-    a = max_disjoint_antichain(p)
+    a = _max_disjoint(p, potential_down_beat_points(p))
     assert a.bit_count() == 1
     assert a & potential_down_beat_points(p)
 
     two = disjoint_union(families.chain(2), families.chain(2))
-    a2 = max_disjoint_antichain(two)
+    a2 = _max_disjoint(two, potential_down_beat_points(two))
     assert {two.labels[x] for x in elements_of(a2)} == {"l_c1", "r_c1"}
 
-    assert max_disjoint_antichain(families.pseudo_circle()) == 0
+    pc = families.pseudo_circle()
+    assert _max_disjoint(pc, potential_down_beat_points(pc)) == 0
 
 
 def test_max_disjoint_antichain_of_many_disjoint_chains():
@@ -294,13 +303,13 @@ def test_max_disjoint_antichain_of_many_disjoint_chains():
     labels = [lab for i in range(1100) for lab in (f"b{i}", f"t{i}")]
     p = Poset.from_relations(labels, [(f"b{i}", f"t{i}") for i in range(1100)])
     tops = mask_of(p.index_of(f"t{i}") for i in range(1100))
-    assert max_disjoint_antichain(p, max_n=p.n) == tops
+    assert _max_disjoint(p, potential_down_beat_points(p, max_n=p.n)) == tops
 
 
-def test_assert_flow_triviality():
-    assert assert_flow_triviality(families.example_3_1())
-    assert assert_flow_triviality(families.pseudo_circle())
-    assert assert_flow_triviality(families.realization_family(3))
+def test_flow_triviality():
+    for p in (families.example_3_1(), families.pseudo_circle(),
+              families.realization_family(3)):
+        assert law_holds(p, enumerate_semiflows(p), "flow_triviality_nonbijective")
 
 
 def test_verify_counting_results_pass_on_fixtures():
@@ -312,8 +321,8 @@ def test_verify_counting_results_pass_on_fixtures():
 
 
 def test_bound_saturation_on_chain3():
-    rep = count_semiflows(families.chain(3))
-    assert rep.s_f == 4 == 2 ** rep.d_size
+    c = _census(families.chain(3))
+    assert len(c.flows) == 4 == 2 ** c.down.bit_count()
 
 
 def test_realization_family_counts():
@@ -362,3 +371,18 @@ def test_one_removal_search_per_call(monkeypatch):
         calls.clear()
         report.analyze(p)
         assert len(calls) == 1
+
+
+def test_census_readers_agree(corpus_flows):
+    """analyze, verify and the counting checks read one census, so they agree."""
+    golden = Path(__file__).parent / "golden"
+    spaces = [p for p, _ in corpus_flows]
+    spaces += [parse_poset_text(path.read_text()) for path in sorted(golden.glob("*.txt"))]
+    assert len(spaces) == 200 + 6
+    for p in spaces:
+        counting = verify_counting_results(p)
+        assert len(counting) == 6
+        assert [(c["name"], c["satisfied"], c["detail"])
+                for c in report.analyze(p).bounds_checked] == counting
+        assert full_verification(p)[:6] == counting
+        assert verify_counting_results(p, flows=enumerate_semiflows(p)) == counting
