@@ -15,8 +15,7 @@ import argparse
 import sys
 
 from . import formats
-from .errors import (CycleError, InvalidSpecError, ParseError, SchemaError,
-                     SizeLimitError, UnknownLabelError)
+from .errors import FinflowError, SizeLimitError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -231,11 +230,7 @@ def run_cli(argv=None):
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (ParseError, SchemaError, CycleError, UnknownLabelError,
-            InvalidSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FinflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,20 +6,19 @@ from .errors import InvalidSpecError
 from .poset import Poset
 from .prng import Xorshift64Star
 
-KINDS = ("chain", "antichain", "example_3_1", "example_2_5", "pseudo_circle",
-         "cone", "x_n", "random")
-
-_NEEDS_N = ("chain", "antichain", "x_n", "random")
-
 
 def chain(n):
     """Total order c0 < c1 < ... on n elements."""
+    if n < 0:
+        raise InvalidSpecError("chain needs n >= 0")
     labels = [f"c{i}" for i in range(n)]
     return Poset.from_relations(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
 
 def antichain(n):
     """n pairwise incomparable elements."""
+    if n < 0:
+        raise InvalidSpecError("antichain needs n >= 0")
     return Poset.from_relations([f"a{i}" for i in range(n)], [])
 
 
@@ -122,6 +121,20 @@ def random_corpus(count, max_n, seed):
     return out
 
 
+# kind -> (builder, the GeneratorSpec fields passed to it); kinds taking n need n >= 0
+_BUILDERS = {
+    "chain": (chain, ("n",)),
+    "antichain": (antichain, ("n",)),
+    "example_3_1": (example_3_1, ()),
+    "example_2_5": (example_2_5, ()),
+    "pseudo_circle": (pseudo_circle, ()),
+    "cone": (lambda: cone(pseudo_circle()), ()),
+    "x_n": (realization_family, ("n",)),
+    "random": (random_poset, ("n", "edge_prob", "seed")),
+}
+KINDS = tuple(_BUILDERS)
+
+
 class GeneratorSpec(namedtuple("GeneratorSpec", "kind n seed edge_prob",
                                defaults=(None, 0, 0.5))):
     """Description of a generated space; ``make`` turns it into a poset.
@@ -135,29 +148,15 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind n seed edge_prob",
     def validate(self):
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown kind {self.kind!r} (choose from {', '.join(KINDS)})")
-        if self.kind in _NEEDS_N:
-            if self.n is None or self.n < 0:
-                raise InvalidSpecError(f"kind {self.kind!r} needs n >= 0")
-        if self.kind == "random" and not 0.0 <= self.edge_prob <= 1.0:
+        fields = _BUILDERS[self.kind][1]
+        if "n" in fields and (self.n is None or self.n < 0):
+            raise InvalidSpecError(f"kind {self.kind!r} needs n >= 0")
+        if "edge_prob" in fields and not 0.0 <= self.edge_prob <= 1.0:
             raise InvalidSpecError("edge probability must be in [0, 1]")
 
 
 def make(spec):
     """Build the poset a GeneratorSpec describes; pure for a fixed spec."""
     spec.validate()
-    kind = spec.kind
-    if kind == "chain":
-        return chain(spec.n)
-    if kind == "antichain":
-        return antichain(spec.n)
-    if kind == "example_3_1":
-        return example_3_1()
-    if kind == "example_2_5":
-        return example_2_5()
-    if kind == "pseudo_circle":
-        return pseudo_circle()
-    if kind == "cone":
-        return cone(pseudo_circle())
-    if kind == "x_n":
-        return realization_family(spec.n)
-    return random_poset(spec.n, spec.edge_prob, spec.seed)
+    build, fields = _BUILDERS[spec.kind]
+    return build(*(getattr(spec, f) for f in fields))

@@ -79,9 +79,7 @@ def parse_poset_json(text):
         pairs.append((item[0], item[1]))
     try:
         return Poset.from_relations(elements, pairs)
-    except UnknownLabelError as exc:
-        raise SchemaError(str(exc)) from None
-    except ValueError as exc:
+    except (UnknownLabelError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
 

@@ -4,6 +4,8 @@ On a finite space continuity is the same thing as order preservation, so a
 map is stored as its value table and validated against the cover relation.
 """
 
+from .poset import mask_of
+
 
 def is_monotone(poset, values):
     """True iff ``values`` is order preserving.
@@ -60,9 +62,6 @@ class MonotoneMap:
             values[x] = y
         return cls(poset, values)
 
-    def __call__(self, x):
-        return self.values[x]
-
     def __eq__(self, other):
         if not isinstance(other, MonotoneMap):
             return NotImplemented
@@ -103,17 +102,10 @@ class MonotoneMap:
         return all(v[y] == y for y in set(v))
 
     def image(self):
-        m = 0
-        for v in self.values:
-            m |= 1 << v
-        return m
+        return mask_of(self.values)
 
     def fixed_points(self):
-        m = 0
-        for x, v in enumerate(self.values):
-            if x == v:
-                m |= 1 << x
-        return m
+        return self.poset.full_mask & ~self.moved_points()
 
     def moved_points(self):
         m = 0

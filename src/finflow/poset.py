@@ -219,12 +219,6 @@ class Poset:
     def leq(self, x, y):
         return (self._down[y] >> x) & 1 == 1
 
-    def lt(self, x, y):
-        return x != y and self.leq(x, y)
-
-    def comparable(self, x, y):
-        return self.leq(x, y) or self.leq(y, x)
-
     def down_set(self, x):
         """Minimal open set containing x: everything at or below it."""
         return self._down[x]
@@ -238,9 +232,6 @@ class Poset:
 
     def strict_up(self, x):
         return self._up[x] & ~(1 << x)
-
-    def height_of(self, x):
-        return self.heights[x]
 
     @property
     def height(self):

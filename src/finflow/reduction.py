@@ -3,8 +3,9 @@
 A down beat point is one whose strict down-set has a maximum; deleting it
 leaves a strong deformation retract.  An up beat point is a down beat point
 of the opposite order, so both are one test read through swapped up- and
-down-set tables.  Iterating deletions yields the core.  Removal sequences
-record the order of deletions and witness which points a semiflow can move.
+down-set tables.  Iterating deletions yields the core.  A removal sequence
+is a tuple of the deleted points in order; their heights come from the
+poset, and the sequences witness which points a semiflow can move.
 Those points form one largest set, found by a single upward scan with the
 down-beat test as its only rule; the witness of a point is that set's part
 below it, in scan order.
@@ -17,38 +18,21 @@ from .poset import _extremal, _top, elements_of, mask_of
 SEARCH_LIMIT = 16
 
 
-class RemovalSequence:
+class RemovalSequence(tuple):
     """Ordered beat-point deletions ending at the witnessed point.
 
-    ``heights`` are measured in the original space and never decrease
-    along the sequence.  Both are stored as tuples and cannot be reassigned.
+    A tuple of point indices, so ``len`` counts the deletions.  Their
+    heights are read from the poset and never decrease along the sequence.
     """
 
-    __slots__ = ("points", "heights")
+    __slots__ = ()
 
-    def __init__(self, points, heights):
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "heights", tuple(heights))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, RemovalSequence):
-            return NotImplemented
-        return (self.points, self.heights) == (other.points, other.heights)
-
-    def __hash__(self):
-        return hash((self.points, self.heights))
+    @property
+    def points(self):
+        return tuple(self)
 
     def __repr__(self):
-        return f"RemovalSequence(points={self.points!r}, heights={self.heights!r})"
-
-    def __len__(self):
-        return len(self.points)
+        return f"RemovalSequence({tuple(self)!r})"
 
 
 def _cover(above, below, x, alive):
@@ -152,8 +136,7 @@ def _witness(p, pot, x):
     down beat point when its turn comes.
     """
     below = pot & p.down_set(x)
-    pts = [y for y in p._order if (below >> y) & 1]
-    return RemovalSequence(pts, [p.heights[y] for y in pts])
+    return RemovalSequence(y for y in p._order if (below >> y) & 1)
 
 
 def removal_sequence_for(p, y, max_n=None):
@@ -166,22 +149,17 @@ def validate_removal_sequence(p, seq):
     """Raise InvalidSequenceError unless ``seq`` is a legal removal sequence.
 
     Returns the stage covers: entry ``i`` is the maximum of the strict
-    down-set of ``seq.points[i]`` in the subspace where it is removed.
+    down-set of ``seq[i]`` in the subspace where it is removed.
     """
-    pts = seq.points
-    if len(pts) != len(set(pts)):
+    if len(seq) != len(set(seq)):
         raise InvalidSequenceError("sequence repeats a point")
-    if len(seq.heights) != len(pts):
-        raise InvalidSequenceError("one height per point required")
     alive = p.full_mask
     floor = -1
     covers = []
-    for step, (x, h) in enumerate(zip(pts, seq.heights), start=1):
+    for step, x in enumerate(seq, start=1):
         if not 0 <= x < p.n:
             raise InvalidSequenceError(f"index {x} out of range")
-        if p.heights[x] != h:
-            raise InvalidSequenceError(
-                f"stored height {h} of {p.labels[x]!r} differs from {p.heights[x]}")
+        h = p.heights[x]
         if h < floor:
             raise InvalidSequenceError(f"heights must be nondecreasing (step {step})")
         y = _down_cover(p, x, alive)
@@ -203,6 +181,6 @@ def retraction_from_sequence(p, seq):
     below the identity.  The empty sequence gives the identity.
     """
     values = list(range(p.n))
-    for x, y in zip(seq.points, validate_removal_sequence(p, seq)):
+    for x, y in zip(seq, validate_removal_sequence(p, seq)):
         values[x] = y
     return MonotoneMap(p, values)

@@ -38,11 +38,8 @@ class Semiflow:
     def __init__(self, space, retraction, validate=True):
         if retraction.poset is not space:
             raise ValueError("retraction must be defined on the given space")
-        if validate:
-            if not retraction.below_identity():
-                raise ValueError("semiflow map must sit below the identity")
-            if not retraction.is_idempotent():
-                raise ValueError("semiflow map must be idempotent")
+        if validate and not retraction.is_strong_deformation_retraction():
+            raise ValueError("semiflow map must be idempotent and below the identity")
         self.space = space
         self.retraction = retraction
 

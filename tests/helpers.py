@@ -26,7 +26,7 @@ def brute_height(p, x):
     best = 1
     for r in range(2, len(members) + 1):
         for combo in combinations(members, r):
-            if all(p.comparable(a, b) for a, b in combinations(combo, 2)):
+            if all(p.leq(a, b) or p.leq(b, a) for a, b in combinations(combo, 2)):
                 best = max(best, r)
     return best - 1
 
@@ -51,7 +51,7 @@ def brute_down_beats(p):
     """Down beat points via an explicit maximum search."""
     out = set()
     for x in range(p.n):
-        below = [y for y in range(p.n) if p.lt(y, x)]
+        below = [y for y in range(p.n) if y != x and p.leq(y, x)]
         for m in below:
             if all(p.leq(y, m) for y in below):
                 out.add(x)
@@ -62,7 +62,7 @@ def brute_down_beats(p):
 def brute_up_beats(p):
     out = set()
     for x in range(p.n):
-        above = [y for y in range(p.n) if p.lt(x, y)]
+        above = [y for y in range(p.n) if y != x and p.leq(x, y)]
         for m in above:
             if all(p.leq(m, y) for y in above):
                 out.add(x)
@@ -277,7 +277,7 @@ def reference_product_oracle(p):
     ``semiflow.brute_force_oracle``.  Returns the maps sorted by value table.
     """
     pools = [elements_of(p.down_set(x)) for x in range(p.n)]
-    lt_pairs = [(x, y) for x in range(p.n) for y in range(p.n) if p.lt(x, y)]
+    lt_pairs = [(x, y) for x in range(p.n) for y in range(p.n) if x != y and p.leq(x, y)]
     out = []
     for values in itertools.product(*pools):
         if any(not p.leq(values[x], values[y]) for x, y in lt_pairs):

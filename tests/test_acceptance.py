@@ -10,8 +10,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from finflow import cli, families
 from finflow.formats import (parse_poset_json, parse_poset_text,
                              write_poset_json, write_poset_text)

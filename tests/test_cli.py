@@ -3,6 +3,7 @@ import json
 import pytest
 
 from finflow import cli, families, semiflow
+from finflow.errors import FinflowError, InvalidSequenceError, NegativeTimeError
 from finflow.formats import write_poset_json, write_poset_text
 from finflow.semiflow import BoundCheck
 
@@ -37,6 +38,17 @@ def test_validate_cyclic_file(capsys, tmp_path):
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.txt")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("exc", [InvalidSequenceError("bad sequence"),
+                                 NegativeTimeError("bad time"), FinflowError("bad input")])
+def test_library_errors_exit_one(capsys, monkeypatch, ex31_file, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_validate", fail)
+    code, out, err = run(capsys, "validate", ex31_file)
+    assert (code, out, err) == (1, "", f"error: {exc}\n")
 
 
 def test_semiflows_count_output(capsys, ex31_file):

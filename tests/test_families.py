@@ -16,6 +16,9 @@ def test_chain_and_antichain_shapes():
     assert a.n == 3 and a.covers == () and a.height == 0
     assert families.chain(0).n == 0
     assert families.chain(1).n == 1
+    for build in (families.chain, families.antichain):
+        with pytest.raises(InvalidSpecError, match=r"needs n >= 0"):
+            build(-1)
 
 
 def test_named_spaces():
@@ -117,6 +120,11 @@ def test_make_dispatch_and_purity():
     assert families.make(families.GeneratorSpec(kind="chain", n=3)) == families.chain(3)
 
 
+def test_make_builds_every_kind():
+    for kind in families.KINDS:
+        assert families.make(families.GeneratorSpec(kind=kind, n=3)).n > 0
+
+
 def test_x3_matches_description_behaviourally():
     # the exact diagram is validated through D, potential set and counts
     p = families.realization_family(3)
@@ -124,6 +132,7 @@ def test_x3_matches_description_behaviourally():
     y1 = p.index_of("y1")
     z1 = p.index_of("z1")
     assert p.leq(z1, y1)
-    assert not p.comparable(p.index_of("x1"), p.index_of("y2"))
+    x1, y2 = p.index_of("x1"), p.index_of("y2")
+    assert not p.leq(x1, y2) and not p.leq(y2, x1)
     assert sorted(p.heights) == sorted(
         [0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4])

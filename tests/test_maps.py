@@ -4,7 +4,7 @@ import helpers
 from finflow import families
 from finflow.errors import SizeLimitError
 from finflow.maps import MonotoneMap, is_monotone
-from finflow.poset import Poset, mask_of
+from finflow.poset import mask_of
 
 from helpers import brute_monotone, disjoint_union, fence_homotopic, monotone_self_maps
 

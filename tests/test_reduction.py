@@ -195,35 +195,49 @@ def test_removal_sequence_for():
     b = p.index_of("B")
     seq_b = removal_sequence_for(p, b)
     assert seq_b.points == (b,)  # a down beat point witnesses itself
-    assert seq_b.heights == (2,)
+    assert [p.heights[x] for x in seq_b] == [2]
+
+
+def test_removal_sequence_is_a_tuple_of_points():
+    seq = RemovalSequence([4, 1, 3])
+    assert len(seq) == 3 and seq.points == (4, 1, 3)
+    assert seq == (4, 1, 3) and hash(seq) == hash((4, 1, 3))
+    assert not RemovalSequence(())
+    with pytest.raises(TypeError):
+        seq[0] = 2
+    with pytest.raises(AttributeError):
+        seq.points = (2,)
+    assert repr(seq) == "RemovalSequence((4, 1, 3))"
 
 
 def test_validate_removal_sequence_errors():
     p = families.example_3_1()
     b, c, a = (p.index_of(l) for l in "BCA")
-    validate_removal_sequence(p, RemovalSequence((b, c, a), (2, 2, 3)))
+    validate_removal_sequence(p, RemovalSequence((b, c, a)))
     with pytest.raises(InvalidSequenceError):
-        validate_removal_sequence(p, RemovalSequence((a,), (3,)))  # not a beat yet
+        validate_removal_sequence(p, RemovalSequence((a,)))  # not a beat yet
     with pytest.raises(InvalidSequenceError):
-        validate_removal_sequence(p, RemovalSequence((b, b), (2, 2)))
-    with pytest.raises(InvalidSequenceError):
-        validate_removal_sequence(p, RemovalSequence((b,), (1,)))  # wrong height
+        validate_removal_sequence(p, RemovalSequence((b, b)))
+    c3 = families.chain(3)
+    validate_removal_sequence(c3, RemovalSequence((2,)))
+    with pytest.raises(InvalidSequenceError, match=r"nondecreasing \(step 2\)"):
+        validate_removal_sequence(c3, RemovalSequence((2, 1)))  # heights 2, then 1
 
 
 def test_retraction_from_sequence_examples():
     p = families.example_3_1()
     b, c, a = (p.index_of(l) for l in "BCA")
-    r1 = retraction_from_sequence(p, RemovalSequence((b,), (2,)))
+    r1 = retraction_from_sequence(p, RemovalSequence((b,)))
     assert r1.as_moves() == {"B": "D"}
 
-    r2 = retraction_from_sequence(p, RemovalSequence((b, c, a), (2, 2, 3)))
+    r2 = retraction_from_sequence(p, RemovalSequence((b, c, a)))
     assert r2.as_moves() == {"B": "D", "C": "D", "A": "D"}
 
-    r0 = retraction_from_sequence(p, RemovalSequence((), ()))
+    r0 = retraction_from_sequence(p, RemovalSequence(()))
     assert r0.as_moves() == {}
 
     with pytest.raises(InvalidSequenceError):
-        retraction_from_sequence(p, RemovalSequence((a,), (3,)))
+        retraction_from_sequence(p, RemovalSequence((a,)))
 
 
 def test_witness_retractions_are_strong_deformation_retractions(corpus):

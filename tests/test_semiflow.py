@@ -40,6 +40,9 @@ def test_semiflow_validation():
     c3 = families.chain(3)
     with pytest.raises(ValueError):
         Semiflow(c3, MonotoneMap(c3, [0, 0, 1]))  # not idempotent
+    c2 = families.chain(2)
+    with pytest.raises(ValueError):
+        Semiflow(c2, MonotoneMap(c2, [1, 1]))  # idempotent, but not below the identity
     with pytest.raises(ValueError):
         Semiflow(p, MonotoneMap.identity(families.chain(6)))
 
