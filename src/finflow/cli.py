@@ -93,12 +93,12 @@ def _cmd_semiflows(args):
     flows = semiflow.enumerate_semiflows(p, max_n=_limit(args))
     if args.oracle:
         oracle = semiflow.brute_force_oracle(p, max_n=args.limit)
-        if not semiflow._agrees_with_oracle(flows, oracle):
+        if flows != oracle:
             print("error: enumerator and brute-force oracle disagree", file=sys.stderr)
             return EXIT_VERIFY
     if args.list:
         for i, sf in enumerate(flows):
-            print(f"{i}: {_format_moves(sf.moves(), sf.space.labels)}")
+            print(f"{i}: {_format_moves(sf.moves(), p.labels)}")
     else:
         print(f"{len(flows)} ({len(flows) - 1} non-trivial)")
     return EXIT_OK
@@ -149,9 +149,10 @@ def _cmd_random_suite(args):
     from . import families, semiflow
 
     corpus = families.random_corpus(args.count, args.max_n, args.seed)
+    limit = _limit(args)
     failures = 0
     for i, p in enumerate(corpus):
-        bad = [c for c in semiflow.full_verification(p, max_n=_limit(args)) if not c.satisfied]
+        bad = [c for c in semiflow.full_verification(p, max_n=limit) if not c.satisfied]
         if bad:
             failures += 1
             for c in bad:

@@ -7,18 +7,22 @@ from .poset import Poset
 from .prng import Xorshift64Star
 
 
+def _check_n(kind, n):
+    """The one size rule of the generators that take ``n``."""
+    if n is None or n < 0:
+        raise InvalidSpecError(f"kind {kind!r} needs n >= 0")
+
+
 def chain(n):
     """Total order c0 < c1 < ... on n elements."""
-    if n < 0:
-        raise InvalidSpecError("chain needs n >= 0")
+    _check_n("chain", n)
     labels = [f"c{i}" for i in range(n)]
     return Poset.from_relations(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
 
 def antichain(n):
     """n pairwise incomparable elements."""
-    if n < 0:
-        raise InvalidSpecError("antichain needs n >= 0")
+    _check_n("antichain", n)
     return Poset.from_relations([f"a{i}" for i in range(n)], [])
 
 
@@ -69,8 +73,7 @@ def realization_family(n):
     it first.  Cross-level relations put y{i}, x{i}, z{i} under x{j} and
     y{i}, z{i} under y{j} for i < j.
     """
-    if n < 0:
-        raise InvalidSpecError("x_n family needs n >= 0")
+    _check_n("x_n", n)
     labels = ["y0", "x0"]
     pairs = [("y0", "x0")]
     for i in range(1, n + 1):
@@ -92,8 +95,7 @@ def random_poset(n, edge_prob, seed):
     so (n, edge_prob, seed) pins the result exactly.  edge_prob 0 gives the
     antichain, edge_prob 1 the chain.
     """
-    if n < 0:
-        raise InvalidSpecError("random poset needs n >= 0")
+    _check_n("random", n)
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidSpecError("edge probability must be in [0, 1]")
     rng = Xorshift64Star(seed)
@@ -121,7 +123,7 @@ def random_corpus(count, max_n, seed):
     return out
 
 
-# kind -> (builder, the GeneratorSpec fields passed to it); kinds taking n need n >= 0
+# kind -> (builder, the GeneratorSpec fields passed to it); each builder checks its fields
 _BUILDERS = {
     "chain": (chain, ("n",)),
     "antichain": (antichain, ("n",)),
@@ -148,11 +150,6 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "kind n seed edge_prob",
     def validate(self):
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown kind {self.kind!r} (choose from {', '.join(KINDS)})")
-        fields = _BUILDERS[self.kind][1]
-        if "n" in fields and (self.n is None or self.n < 0):
-            raise InvalidSpecError(f"kind {self.kind!r} needs n >= 0")
-        if "edge_prob" in fields and not 0.0 <= self.edge_prob <= 1.0:
-            raise InvalidSpecError("edge probability must be in [0, 1]")
 
 
 def make(spec):

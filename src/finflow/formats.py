@@ -100,8 +100,8 @@ def _q(label):
 def to_dot(p, annotate=None):
     """Hasse diagram in DOT: cover edges oriented bottom-to-top, ranks by height.
 
-    With ``annotate`` set to a semiflow, every moved point gets a dashed
-    arrow to its image.
+    With ``annotate`` set to a map on ``p`` (a semiflow, or any
+    ``MonotoneMap``), every moved point gets a dashed arrow to its image.
     """
     lines = ["digraph poset {", "  rankdir=BT;"]
     for x in range(p.n):
@@ -116,9 +116,7 @@ def to_dot(p, annotate=None):
     for a, b in p.covers:
         lines.append(f"  {_q(p.labels[a])} -> {_q(p.labels[b])};")
     if annotate is not None:
-        for x, v in enumerate(annotate.retraction.values):
-            if v != x:
-                lines.append(
-                    f"  {_q(p.labels[x])} -> {_q(p.labels[v])} [style=dashed, constraint=false];")
+        for a, b in annotate.as_moves().items():
+            lines.append(f"  {_q(a)} -> {_q(b)} [style=dashed, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,9 @@ at every positive time: an idempotent monotone map below the identity.
 Time enters only through the ``t == 0`` / ``t > 0`` split, so enumerating
 semiflows means enumerating those maps.  The converse holds too: for any
 such map r the two-piece formula is continuous (r <= id keeps preimages of
-lower sets open) and the semigroup law is exactly idempotence.
+lower sets open) and the semigroup law is exactly idempotence.  So a
+``Semiflow`` is that map itself: a ``MonotoneMap`` whose ``values`` is the
+positive-time table.
 
 Such a map is determined by its fixed points F, as r(x) = max(F & down(x)),
 and F gives one exactly when each x outside F is a down beat point of F
@@ -30,42 +32,33 @@ ENUMERATION_LIMIT = 14
 ORACLE_LIMIT = 10
 
 
-class Semiflow:
-    """Canonical semiflow: identity at time zero, ``retraction`` afterwards."""
+class Semiflow(MonotoneMap):
+    """Canonical semiflow: the identity at time zero, this map at every time after.
 
-    __slots__ = ("space", "retraction")
+    A semiflow is its positive-time map, so ``values`` is that table and
+    equality, hashing and the map operations are those of ``MonotoneMap``.
+    """
 
-    def __init__(self, space, retraction, validate=True):
-        if retraction.poset is not space:
-            raise ValueError("retraction must be defined on the given space")
-        if validate and not retraction.is_strong_deformation_retraction():
+    __slots__ = ()
+
+    def __init__(self, poset, values):
+        super().__init__(poset, values)
+        if not self.is_strong_deformation_retraction():
             raise ValueError("semiflow map must be idempotent and below the identity")
-        self.space = space
-        self.retraction = retraction
 
     @property
     def trivial(self):
-        return self.retraction.moved_points() == 0
+        return self.moved_points() == 0
 
     def evaluate(self, t, x):
         """State reached from ``x`` after time ``t``."""
-        return self.retraction.values[x] if _positive(t) else x
+        return self.values[x] if _positive(t) else x
 
     def at(self, t):
         """State table at time ``t``: entry ``x`` is ``evaluate(t, x)``."""
-        return self.retraction.values if _positive(t) else tuple(range(self.space.n))
+        return self.values if _positive(t) else tuple(range(self.poset.n))
 
-    def moves(self):
-        """Label table of the moved points (empty for the trivial semiflow)."""
-        return self.retraction.as_moves()
-
-    def __eq__(self, other):
-        if not isinstance(other, Semiflow):
-            return NotImplemented
-        return self.space is other.space and self.retraction == other.retraction
-
-    def __hash__(self):
-        return hash((id(self.space), self.retraction.values))
+    moves = MonotoneMap.as_moves
 
     def __repr__(self):
         moves = self.moves()
@@ -135,8 +128,7 @@ def enumerate_semiflows(p, max_n=None):
     the trivial one included, sorted lexicographically by value table.
     """
     check_size("semiflow enumeration", p.n, ENUMERATION_LIMIT, max_n)
-    return [Semiflow(p, MonotoneMap._trusted(p, v), validate=False)
-            for v in sorted(_tables(p))]
+    return [Semiflow._trusted(p, v) for v in sorted(_tables(p))]
 
 
 def brute_force_oracle(p, max_n=None):
@@ -163,11 +155,6 @@ def brute_force_oracle(p, max_n=None):
             out.append(MonotoneMap(p, values))
     out.sort(key=lambda f: f.values)
     return out
-
-
-def _agrees_with_oracle(flows, oracle):
-    """Whether the enumerated ``flows`` and the ``oracle`` maps list the same tables."""
-    return [sf.retraction.values for sf in flows] == [m.values for m in oracle]
 
 
 # -- counting and verification ------------------------------------------------
@@ -252,7 +239,7 @@ def _counting_checks(p, flows, d_mask, pot_mask):
     moved = 0
     bad = None
     for sf in flows:
-        m = sf.retraction.moved_points()
+        m = sf.moved_points()
         moved |= m
         if bad is None:
             for x in elements_of(m & ~d_mask):
@@ -356,7 +343,7 @@ def full_verification(p, max_n=None):
 
     if p.n <= ORACLE_LIMIT:
         oracle = brute_force_oracle(p)
-        ok = _agrees_with_oracle(flows, oracle)
+        ok = flows == oracle
         checks.append(BoundCheck(
             "oracle_agreement", ok,
             f"enumerator and brute force both list {len(flows)} maps" if ok

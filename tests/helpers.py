@@ -224,7 +224,7 @@ def reference_semigroup_law(sf):
     """The semigroup law over the four time classes, one point at a time."""
     for s in (0, 1):
         for t in (0, 1):
-            for x in range(sf.space.n):
+            for x in range(sf.poset.n):
                 if sf.evaluate(s, sf.evaluate(t, x)) != sf.evaluate(s + t, x):
                     return False
     return True
@@ -264,7 +264,7 @@ def reference_law_checks(p, flows):
 
     checks.append(BoundCheck(
         "flow_triviality_nonbijective",
-        all(sf.trivial or len(set(sf.retraction.values)) < p.n for sf in flows),
+        all(sf.trivial or len(set(sf.values)) < p.n for sf in flows),
         "non-trivial semiflow maps collapse at least one pair"))
     return checks
 
@@ -314,7 +314,7 @@ def reference_movable(p):
 
     moved = 0
     for sf in enumerate_semiflows(p):
-        moved |= mask_of(x for x, v in enumerate(sf.retraction.values) if v != x)
+        moved |= mask_of(x for x, v in enumerate(sf.values) if v != x)
     return moved
 
 

@@ -41,7 +41,7 @@ def test_c01_example_3_1_count():
     assert len(nontrivial) == 6
     assert nontrivial == EX31_NONTRIVIAL
     oracle = brute_force_oracle(p)
-    assert [sf.retraction.values for sf in flows] == [m.values for m in oracle]
+    assert [sf.values for sf in flows] == [m.values for m in oracle]
     assert time.perf_counter() - started < 1.0
     _ok(1, "example_3_1 has exactly 7 semiflows (6 non-trivial)")
 
@@ -113,7 +113,7 @@ def test_c07_movability_equivalence(corpus_flows):
     for p, flows in corpus_flows:
         moved = 0
         for sf in flows:
-            moved |= sf.retraction.moved_points()
+            moved |= sf.moved_points()
         assert moved == potential_down_beat_points(p)
     _ok(7, "movable points = potential down beat points on the corpus")
 
@@ -122,7 +122,7 @@ def test_c08_forced_down_beat_movement(corpus_flows):
     for p, flows in corpus_flows:
         d = down_beat_points(p)
         for sf in flows:
-            moved = sf.retraction.moved_points()
+            moved = sf.moved_points()
             for x in elements_of(moved & ~d):
                 assert p.strict_down(x) & d & moved
     _ok(8, "every moved non-down-beat sits above a moved down beat")
@@ -132,7 +132,7 @@ def test_c09_flow_triviality(corpus_flows):
     for p, flows in corpus_flows:
         for sf in flows:
             if not sf.trivial:
-                assert len(set(sf.retraction.values)) < p.n
+                assert len(set(sf.values)) < p.n
         assert _law_checks(p, flows)[4][:2] == ("flow_triviality_nonbijective", True)
     _ok(9, "non-trivial semiflow maps are never bijective")
 
@@ -145,7 +145,7 @@ def test_c10_structural_laws(corpus_flows):
             for x in range(p.n):
                 for t in (0, 0.5, 3.0):
                     assert (p.down_set(x) >> sf.evaluate(t, x)) & 1
-            assert sf.retraction.moved_points() & floor == 0
+            assert sf.moved_points() & floor == 0
             for s, t in ((0, 0.5), (0.25, 2.0)):
                 for x in range(p.n):
                     assert p.leq(sf.evaluate(t, x), sf.evaluate(s, x))
@@ -154,7 +154,7 @@ def test_c10_structural_laws(corpus_flows):
 
 def test_c11_oracle_equivalence(corpus_flows):
     for p, flows in corpus_flows:
-        assert [sf.retraction.values for sf in flows] == \
+        assert [sf.values for sf in flows] == \
             [m.values for m in brute_force_oracle(p)]
     _ok(11, "enumerator matches the brute-force oracle on the corpus")
 

@@ -158,6 +158,14 @@ def test_random_suite(capsys):
     assert "12/12 posets verified" in out
 
 
+
+def test_random_suite_warns_once_about_the_limit(capsys):
+    code, out, err = run(capsys, "random-suite", "--count", "4", "--max-n", "5", "--limit", "9")
+    assert code == 0 and out == "4/4 posets verified\n"
+    assert err == ("warning: size guards raised to 9; "
+                   "expect exponential cost on large inputs\n")
+
+
 @pytest.mark.parametrize("argv", [("--max-n", "0"), ("--max-n", "-3"), ("--count", "-2")])
 def test_random_suite_rejects_bad_sizes(capsys, argv):
     code, out, err = run(capsys, "random-suite", *argv)

@@ -4,7 +4,7 @@ from finflow import families
 from finflow.errors import CycleError, ParseError, SchemaError
 from finflow.formats import (parse_poset_json, parse_poset_text, to_dot,
                              write_poset_json, write_poset_text)
-from finflow.maps import MonotoneMap
+from finflow.reduction import removal_sequence_for, retraction_from_sequence
 from finflow.report import AnalysisReport, analyze
 from finflow.semiflow import Semiflow
 
@@ -111,11 +111,21 @@ def test_to_dot_shapes():
 
 def test_to_dot_semiflow_annotation():
     p = families.example_3_1()
-    sf = Semiflow(p, MonotoneMap.from_moves(p, {"A": "D", "B": "D", "C": "D"}))
+    sf = Semiflow.from_moves(p, {"A": "D", "B": "D", "C": "D"})
     out = to_dot(p, annotate=sf)
     for src in "ABC":
         assert f'"{src}" -> "D" [style=dashed, constraint=false];' in out
     assert out.count("dashed") == 3
+
+
+
+def test_to_dot_draws_any_map():
+    p = families.example_3_1()
+    r = retraction_from_sequence(p, removal_sequence_for(p, p.index_of("A")))
+    assert not isinstance(r, Semiflow) and r.moved_points()
+    dashed = [line for line in to_dot(p, r).splitlines() if "dashed" in line]
+    assert len(dashed) == len(r.as_moves()) > 0
+    assert to_dot(p, Semiflow(p, r.values)) == to_dot(p, r)
 
 
 def test_report_round_trip():
