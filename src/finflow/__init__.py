@@ -18,16 +18,15 @@ _EXPORTS = {
     "errors": ("CycleError", "FinflowError", "InvalidSequenceError",
                "InvalidSpecError", "NegativeTimeError", "ParseError",
                "SchemaError", "SizeLimitError", "UnknownLabelError"),
-    "families": ("GeneratorSpec", "antichain", "chain", "cone", "example_2_5",
-                 "example_3_1", "make", "pseudo_circle", "random_corpus",
-                 "random_poset", "realization_family"),
+    "families": ("antichain", "chain", "cone", "example_2_5", "example_3_1", "make",
+                 "pseudo_circle", "random_corpus", "random_poset", "realization_family"),
     "formats": ("parse_poset_json", "parse_poset_text", "to_dot",
                 "write_poset_json", "write_poset_text"),
     "maps": ("MonotoneMap", "is_monotone"),
     "poset": ("Poset", "elements_of", "mask_of"),
     "prng": ("Xorshift64Star",),
     "reduction": ("RemovalSequence", "beat_points", "core", "down_beat_points",
-                  "down_cover", "is_minimal_space", "potential_down_beat_points",
+                  "is_minimal_space", "potential_down_beat_points",
                   "removal_sequence_for", "retraction_from_sequence",
                   "up_beat_points", "validate_removal_sequence"),
     "report": ("AnalysisReport", "analyze"),

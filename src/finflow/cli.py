@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import formats
-from .errors import FinflowError, SizeLimitError
+from .errors import FinflowError, SizeLimitError, check_size
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,9 +47,9 @@ def _limit(args):
     return args.limit
 
 
-def _format_moves(moves, labels):
-    """Moved points in label order, written ``a->b``; ``id`` when none moves."""
-    return ", ".join(f"{a}->{moves[a]}" for a in labels if a in moves) or "id"
+def _format_moves(moves):
+    """Moved points in the table's order, written ``a->b``; ``id`` when none moves."""
+    return ", ".join(f"{a}->{b}" for a, b in moves.items()) or "id"
 
 
 def _cmd_validate(args):
@@ -63,6 +63,9 @@ def _cmd_analyze(args):
 
     p = _load(args.file)
     rep = report.analyze(p, max_n=_limit(args))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(rep.to_json())
     print(f"elements ({len(rep.labels)}): " + " ".join(rep.labels))
     print("covers: " + " ".join(f"{a}<{b}" for a, b in rep.covers))
     print("heights: " + " ".join(f"{lab}={h}" for lab, h in zip(rep.labels, rep.heights)))
@@ -77,12 +80,9 @@ def _cmd_analyze(args):
         print(f"  {w['point']}: via " + ", ".join(w["witness"]))
     print(f"semiflows: {rep.s_f} ({rep.s_f - 1} non-trivial)")
     for i, moves in enumerate(rep.nontrivial_semiflows, start=1):
-        print(f"  {i}: {_format_moves(moves, rep.labels)}")
+        print(f"  {i}: {_format_moves(moves)}")
     good = sum(1 for c in rep.bounds_checked if c["satisfied"])
     print(f"checks: {good}/{len(rep.bounds_checked)} passed")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
     return EXIT_OK
 
 
@@ -98,7 +98,7 @@ def _cmd_semiflows(args):
             return EXIT_VERIFY
     if args.list:
         for i, sf in enumerate(flows):
-            print(f"{i}: {_format_moves(sf.moves(), p.labels)}")
+            print(f"{i}: {_format_moves(sf.moves())}")
     else:
         print(f"{len(flows)} ({len(flows) - 1} non-trivial)")
     return EXIT_OK
@@ -119,9 +119,7 @@ def _cmd_verify(args):
 def _cmd_gen(args):
     from . import families
 
-    spec = families.GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed,
-                                  edge_prob=args.p)
-    text = formats.write_poset_text(families.make(spec))
+    text = formats.write_poset_text(families.make(args.kind, args.n, args.seed, args.p))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -148,8 +146,9 @@ def _cmd_dot(args):
 def _cmd_random_suite(args):
     from . import families, semiflow
 
-    corpus = families.random_corpus(args.count, args.max_n, args.seed)
     limit = _limit(args)
+    check_size("semiflow enumeration", args.max_n, semiflow.ENUMERATION_LIMIT, limit)
+    corpus = families.random_corpus(args.count, args.max_n, args.seed)
     failures = 0
     for i, p in enumerate(corpus):
         bad = [c for c in semiflow.full_verification(p, max_n=limit) if not c.satisfied]

@@ -1,7 +1,5 @@
 """Deterministic generators for the named example spaces and random posets."""
 
-from collections import namedtuple
-
 from .errors import InvalidSpecError
 from .poset import Poset
 from .prng import Xorshift64Star
@@ -53,9 +51,9 @@ def example_2_5():
          ("A", "E"), ("B", "E"), ("C", "E")])
 
 
-def cone(p, apex="top"):
-    """Add a new maximum above everything; primes the label on collision."""
-    label = apex
+def cone(p):
+    """Add a new maximum ``top`` above everything; primes the label on collision."""
+    label = "top"
     while label in p.labels:
         label += "'"
     labels = list(p.labels) + [label]
@@ -123,7 +121,7 @@ def random_corpus(count, max_n, seed):
     return out
 
 
-# kind -> (builder, the GeneratorSpec fields passed to it); each builder checks its fields
+# kind -> (builder, the ``make`` arguments passed to it); each builder checks its fields
 _BUILDERS = {
     "chain": (chain, ("n",)),
     "antichain": (antichain, ("n",)),
@@ -137,23 +135,10 @@ _BUILDERS = {
 KINDS = tuple(_BUILDERS)
 
 
-class GeneratorSpec(namedtuple("GeneratorSpec", "kind n seed edge_prob",
-                               defaults=(None, 0, 0.5))):
-    """Description of a generated space; ``make`` turns it into a poset.
-
-    Fields: ``kind``, ``n`` (None by default), ``seed`` (0) and
-    ``edge_prob`` (0.5).
-    """
-
-    __slots__ = ()
-
-    def validate(self):
-        if self.kind not in KINDS:
-            raise InvalidSpecError(f"unknown kind {self.kind!r} (choose from {', '.join(KINDS)})")
-
-
-def make(spec):
-    """Build the poset a GeneratorSpec describes; pure for a fixed spec."""
-    spec.validate()
-    build, fields = _BUILDERS[spec.kind]
-    return build(*(getattr(spec, f) for f in fields))
+def make(kind, n=None, seed=0, edge_prob=0.5):
+    """Build the named space of ``kind``; pure for fixed arguments."""
+    if kind not in _BUILDERS:
+        raise InvalidSpecError(f"unknown kind {kind!r} (choose from {', '.join(KINDS)})")
+    build, fields = _BUILDERS[kind]
+    args = {"n": n, "seed": seed, "edge_prob": edge_prob}
+    return build(*(args[f] for f in fields))

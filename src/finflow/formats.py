@@ -4,6 +4,15 @@ from .errors import ParseError, SchemaError, UnknownLabelError
 from .poset import Poset
 
 
+def _check_labels(names, error=ValueError):
+    """Raise ``error`` on the first name the text format cannot write back as one label."""
+    for name in names:
+        if name.split() != [name] or "<" in name or "#" in name or name.startswith("elements:"):
+            why = ("contain '<'" if "<" in name
+                   else "be empty, hold a space or '#', or start 'elements:'")
+            raise error(f"element name {name!r} may not {why}")
+
+
 def parse_poset_text(text):
     """Parse the line-oriented poset format.
 
@@ -18,6 +27,7 @@ def parse_poset_text(text):
 
     def register(name):
         if name not in seen:
+            _check_labels([name], lambda msg: ParseError(lineno, msg))
             seen.add(name)
             labels.append(name)
 
@@ -27,8 +37,6 @@ def parse_poset_text(text):
             continue
         if line.startswith("elements:"):
             for name in line[len("elements:"):].split():
-                if "<" in name:
-                    raise ParseError(lineno, f"element name {name!r} may not contain '<'")
                 if name in seen:
                     raise ParseError(lineno, f"element {name!r} declared twice")
                 register(name)
@@ -37,8 +45,6 @@ def parse_poset_text(text):
         if len(parts) != 2:
             raise ParseError(lineno, "expected exactly one '<' per relation line")
         a, b = parts[0].strip(), parts[1].strip()
-        if not a or not b or len(a.split()) != 1 or len(b.split()) != 1:
-            raise ParseError(lineno, f"malformed relation {line.strip()!r}")
         register(a)
         register(b)
         pairs.append((a, b))
@@ -47,6 +53,7 @@ def parse_poset_text(text):
 
 def write_poset_text(p):
     """Text form: an elements line plus one cover relation per line."""
+    _check_labels(p.labels)
     lines = []
     if p.n:
         lines.append("elements: " + " ".join(p.labels))
@@ -69,6 +76,7 @@ def parse_poset_json(text):
     relations = data.get("relations")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("'elements' must be a list of names")
+    _check_labels(elements, SchemaError)
     if not isinstance(relations, list):
         raise SchemaError("'relations' must be a list of [lesser, greater] pairs")
     pairs = []

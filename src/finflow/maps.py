@@ -4,8 +4,6 @@ On a finite space continuity is the same thing as order preservation, so a
 map is stored as its value table and validated against the cover relation.
 """
 
-from .poset import mask_of
-
 
 def is_monotone(poset, values):
     """True iff ``values`` is order preserving.
@@ -21,9 +19,9 @@ def is_monotone(poset, values):
 class MonotoneMap:
     """A continuous self-map, stored as ``values[x] = f(x)``.
 
-    Maps are tied to the identity of their poset object; combining maps
-    that live on different poset objects is rejected, which prevents index
-    mix-ups after ``induced`` reindexes a subspace.
+    Maps are tied to the identity of their poset object: maps on different
+    poset objects never compare equal, which prevents index mix-ups after
+    ``induced`` reindexes a subspace.
     """
 
     __slots__ = ("poset", "values")
@@ -71,41 +69,7 @@ class MonotoneMap:
         return hash((id(self.poset), self.values))
 
     def __repr__(self):
-        moves = self.as_moves()
-        return f"MonotoneMap({moves!r})" if moves else "MonotoneMap(identity)"
-
-    def _require_same_poset(self, other):
-        if self.poset is not other.poset:
-            raise ValueError("maps are defined on different posets")
-
-    # -- comparisons -------------------------------------------------------
-
-    def pointwise_leq(self, other):
-        """self <= other in the pointwise order on maps."""
-        self._require_same_poset(other)
-        p = self.poset
-        return all(p.leq(a, b) for a, b in zip(self.values, other.values))
-
-    def below_identity(self):
-        p = self.poset
-        return all(p.leq(v, x) for x, v in enumerate(self.values))
-
-    # -- algebra -----------------------------------------------------------
-
-    def compose(self, other):
-        """self after other: ``x -> self(other(x))``."""
-        self._require_same_poset(other)
-        return MonotoneMap(self.poset, tuple(self.values[v] for v in other.values))
-
-    def is_idempotent(self):
-        v = self.values
-        return all(v[y] == y for y in set(v))
-
-    def image(self):
-        return mask_of(self.values)
-
-    def fixed_points(self):
-        return self.poset.full_mask & ~self.moved_points()
+        return f"{type(self).__name__}({self.as_moves() or 'identity'})"
 
     def moved_points(self):
         m = 0
@@ -121,11 +85,13 @@ class MonotoneMap:
 
     # -- retraction predicates ----------------------------------------------
 
-    def is_retraction_onto(self, subset):
-        """Image inside ``subset`` and every member of ``subset`` fixed."""
-        if self.image() & ~subset:
-            return False
-        return subset & ~self.fixed_points() == 0
+    def below_identity(self):
+        p = self.poset
+        return all(p.leq(v, x) for x, v in enumerate(self.values))
+
+    def is_idempotent(self):
+        v = self.values
+        return all(v[y] == y for y in set(v))
 
     def is_strong_deformation_retraction(self):
         """Idempotent and below the identity.

@@ -246,25 +246,6 @@ class Poset:
 
     # -- subset operations -------------------------------------------------
 
-    def maximal_elements(self, mask):
-        return _extremal(self._down, mask)
-
-    def minimal_elements(self, mask):
-        return _extremal(self._up, mask)
-
-    def maximum_of(self, mask):
-        """Unique top of ``mask``, or None."""
-        return _top(self._up, self._down, mask)
-
-    def minimum_of(self, mask):
-        return _top(self._down, self._up, mask)
-
-    def is_lower_set(self, mask):
-        for x in elements_of(mask):
-            if self._down[x] & ~mask:
-                return False
-        return True
-
     def induced(self, mask):
         """Subposet on ``mask``.
 

@@ -74,11 +74,6 @@ def is_minimal_space(p):
     return beat_points(p) == 0
 
 
-def down_cover(p, x):
-    """The maximum below a down beat point; None for anything else."""
-    return _down_cover(p, x, p.full_mask)
-
-
 def core(p):
     """Delete beat points until none remain.
 

@@ -60,10 +60,6 @@ class Semiflow(MonotoneMap):
 
     moves = MonotoneMap.as_moves
 
-    def __repr__(self):
-        moves = self.moves()
-        return f"Semiflow({moves!r})" if moves else "Semiflow(trivial)"
-
 
 def _positive(t):
     """Whether time ``t`` is past zero; the only thing a semiflow reads of it."""

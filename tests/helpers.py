@@ -507,7 +507,8 @@ def fence_homotopic(f, g, max_steps=None, budget=FENCE_BUDGET):
 
     Raises SizeLimitError when the search visits more than ``budget`` maps.
     """
-    f._require_same_poset(g)
+    if f.poset is not g.poset:
+        raise ValueError("maps are defined on different posets")
     p = f.poset
     start, goal = f.values, g.values
     if start == goal:

@@ -108,6 +108,13 @@ def test_analyze_json_output(capsys, tmp_path, ex31_file):
     assert data["s_f"] == 7 and data["schema"] == 1
 
 
+def test_analyze_unwritable_json_prints_nothing(capsys, tmp_path, ex31_file):
+    bad = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "analyze", ex31_file, "--json", str(bad))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 def test_gen_defaults_to_stdout(capsys):
     code, out, _ = run(capsys, "gen", "pseudo_circle")
     assert code == 0
@@ -164,6 +171,16 @@ def test_random_suite_warns_once_about_the_limit(capsys):
     assert code == 0 and out == "4/4 posets verified\n"
     assert err == ("warning: size guards raised to 9; "
                    "expect exponential cost on large inputs\n")
+
+
+def test_random_suite_refuses_max_n_above_the_guard_first(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("corpus built before the size guard")
+
+    monkeypatch.setattr(families, "random_corpus", build)
+    code, out, err = run(capsys, "random-suite", "--count", "1", "--max-n", "100000")
+    assert code == 3 and out == ""
+    assert err == "error: semiflow enumeration limited to 14 elements (got 100000)\n"
 
 
 @pytest.mark.parametrize("argv", [("--max-n", "0"), ("--max-n", "-3"), ("--count", "-2")])

