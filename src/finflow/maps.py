@@ -4,6 +4,16 @@ On a finite space continuity is the same thing as order preservation, so a
 map is stored as its value table and validated against the cover relation.
 """
 
+from operator import itemgetter
+
+
+def _compose(f, g):
+    """The table of ``f`` after ``g``; ``itemgetter`` returns a bare value for
+    one index and refuses none, so shorter tables go through ``map``."""
+    if len(g) > 1:
+        return itemgetter(*g)(f)
+    return tuple(map(f.__getitem__, g))
+
 
 def is_monotone(poset, values):
     """True iff ``values`` is order preserving.
@@ -91,7 +101,7 @@ class MonotoneMap:
 
     def is_idempotent(self):
         v = self.values
-        return all(v[y] == y for y in set(v))
+        return _compose(v, v) == v
 
     def is_strong_deformation_retraction(self):
         """Idempotent and below the identity.

@@ -59,6 +59,10 @@ def test_idempotence_image_fixed_points():
     drop = MonotoneMap(c3, [0, 0, 0])
     assert drop.is_idempotent()
 
+    for n in (0, 1):  # tables too short for itemgetter
+        assert MonotoneMap.identity(families.antichain(n)).is_idempotent()
+    assert not MonotoneMap(families.antichain(2), [1, 0]).is_idempotent()
+
 
 def test_strong_deformation_retraction_predicate():
     p = families.example_3_1()
