@@ -121,15 +121,15 @@ class OneTimeOff(Semiflow):
 
 
 @pytest.mark.parametrize("time, table, fails", [
+    (0.75, (1, 1, 2), "orbit_containment"),  # 0 goes up, only at 0.75
+    (3.0, (0, 2, 2), "time_monotone"),  # 1 goes up, only at 3.0
     (0, (0, 0, 1), "semigroup_law time_monotone"),  # time 0 is not the identity
     (0, (1, 1, 2), "semigroup_law orbit_containment floor_fixed"),  # 0 goes up at 0
     (0.25, (0, 0, 0), "time_monotone"),  # time 1 is not below 0.25
     (0.5, (1, 1, 2), "time_monotone"),  # 0 goes up, only at 0.5
-    (0.75, (1, 1, 2), "orbit_containment"),  # 0 goes up, only at 0.75
     (1, (0, 0, 0), "semigroup_law"),  # time 1 after time 1 is not time 2
     (1, (1, 1, 2), "semigroup_law floor_fixed time_monotone"),  # 0 goes up at 1
     (2, (1, 1, 2), "semigroup_law orbit_containment"),  # 0 goes up, only at 2
-    (3.0, (0, 2, 2), "time_monotone"),  # 1 goes up, only at 3.0
 ])
 def test_law_checks_read_every_sample_time(time, table, fails):
     """One flow off at one sample time, alone, first and last among valid flows.
