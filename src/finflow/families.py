@@ -107,18 +107,18 @@ def random_poset(n, edge_prob, seed):
 
 
 def random_corpus(count, max_n, seed):
-    """Fixed-seed list of random posets with 1..max_n elements."""
+    """Fixed-seed random posets with 1..max_n elements, built one at a time.
+
+    The sizes are checked at the call; the posets are built as they are
+    drawn, so a caller that reads them in turn keeps one alive at a time.
+    """
     if count < 0:
         raise InvalidSpecError(f"random corpus needs count >= 0 (got {count})")
     if max_n < 1:
         raise InvalidSpecError(f"random corpus needs max_n >= 1 (got {max_n})")
     rng = Xorshift64Star(seed)
-    out = []
-    for _ in range(count):
-        n = 1 + rng.next_int(max_n)
-        prob = rng.next_float()
-        out.append(random_poset(n, prob, rng.next_u64()))
-    return out
+    return (random_poset(1 + rng.next_int(max_n), rng.next_float(), rng.next_u64())
+            for _ in range(count))
 
 
 # kind -> (builder, the ``make`` arguments passed to it); each builder checks its fields

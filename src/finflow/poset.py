@@ -8,6 +8,8 @@ sets are exactly the lower sets, and ``down_set(x)`` is the minimal open
 set containing ``x``.
 """
 
+from operator import itemgetter
+
 from .errors import CycleError, UnknownLabelError
 
 
@@ -100,10 +102,13 @@ class Poset:
     with the rows of its lower covers (else ValueError), none of which may
     contain it (else CycleError).  Those rows are then strictly smaller, so
     by induction on row size every row is closed and antisymmetric.
+
+    A poset stores its down-sets (``_down``, the minimal open sets), its
+    up-sets (``_up``, the closures), ``covers``, ``heights`` and the scan
+    order ``_order``; the last three come from that lower-cover pass.
     """
 
-    __slots__ = ("n", "labels", "covers", "heights", "_down", "_up", "_index",
-                 "_lower_covers", "_upper_covers", "_order")
+    __slots__ = ("n", "labels", "covers", "heights", "_down", "_up", "_index", "_order")
 
     def __init__(self, labels, down_rows):
         labels = tuple(labels)
@@ -111,7 +116,8 @@ class Poset:
         n = len(labels)
         if len(down) != n:
             raise ValueError("one relation row per label required")
-        if len(set(labels)) != n:
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != n:
             raise ValueError("labels must be distinct")
         full = (1 << n) - 1
         for x, row in enumerate(down):
@@ -132,26 +138,21 @@ class Poset:
                 ht[x] = max(ht[x], ht[a] + 1)
             if acc != down[x]:
                 raise ValueError("order must be transitive")
-        upper = [[] for _ in range(n)]
-        for b in range(n):
-            for a in lower[b]:
-                upper[a].append(b)
         # scan order: by height, ties by index, so all below x comes before x
         self._order = tuple(sorted(range(n), key=ht.__getitem__))
-        up = [0] * n
-        for x in reversed(self._order):
-            acc = 1 << x
-            for b in upper[x]:
-                acc |= up[b]
-            up[x] = acc
+        # in reverse scan order every upper cover of b has pushed into up[b]
+        up = [1 << x for x in range(n)]
+        for b in reversed(self._order):
+            for a in lower[b]:
+                up[a] |= up[b]
         self.n = n
         self.labels = labels
         self._down = down
         self._up = tuple(up)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self.covers = tuple((a, b) for a in range(n) for b in upper[a])
-        self._lower_covers = tuple(map(tuple, lower))
-        self._upper_covers = tuple(map(tuple, upper))
+        self._index = index
+        # the pairs come with b ascending, so a stable sort on a gives (a, b) order
+        self.covers = tuple(sorted(((a, b) for b in range(n) for a in lower[b]),
+                                   key=itemgetter(0)))
         self.heights = tuple(ht)
 
     @classmethod
@@ -223,26 +224,13 @@ class Poset:
         """Minimal open set containing x: everything at or below it."""
         return self._down[x]
 
-    def up_set(self, x):
-        """Closure of x: everything at or above it."""
-        return self._up[x]
-
     def strict_down(self, x):
         return self._down[x] & ~(1 << x)
-
-    def strict_up(self, x):
-        return self._up[x] & ~(1 << x)
 
     @property
     def height(self):
         """Longest chain length minus one; -1 for the empty poset."""
         return max(self.heights, default=-1)
-
-    def lower_covers(self, x):
-        return self._lower_covers[x]
-
-    def upper_covers(self, x):
-        return self._upper_covers[x]
 
     # -- subset operations -------------------------------------------------
 

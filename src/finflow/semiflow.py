@@ -46,10 +46,6 @@ class Semiflow(MonotoneMap):
         if not self.is_strong_deformation_retraction():
             raise ValueError("semiflow map must be idempotent and below the identity")
 
-    @property
-    def trivial(self):
-        return self.moved_points() == 0
-
     def evaluate(self, t, x):
         """State reached from ``x`` after time ``t``."""
         return self.values[x] if _positive(t) else x

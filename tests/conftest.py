@@ -11,7 +11,7 @@ CORPUS_MAX_N = 9
 
 @pytest.fixture(scope="session")
 def corpus():
-    return families.random_corpus(CORPUS_SIZE, CORPUS_MAX_N, CORPUS_SEED)
+    return list(families.random_corpus(CORPUS_SIZE, CORPUS_MAX_N, CORPUS_SEED))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ caller in the library; they check cores, retractions and the enumerator.
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 from finflow.errors import SizeLimitError, check_size
@@ -138,10 +138,20 @@ def reference_is_isomorphic(p, q):
         for sigma in permutations(range(q.n)))
 
 
+def transposed(rows):
+    """Rows of the opposite order: bit ``b`` of row ``a`` is bit ``a`` of row ``b``.
+
+    On down-set rows this gives the up-sets, one bit at a time.
+    """
+    n = len(rows)
+    return [mask_of(b for b in range(n) if (rows[b] >> a) & 1) for a in range(n)]
+
+
 def reference_covers(p):
     """Cover pairs: a < b with nothing strictly between, one pair at a time."""
-    return tuple((a, b) for a in range(p.n) for b in elements_of(p.strict_up(a))
-                 if p.strict_up(a) & p.strict_down(b) == 0)
+    above = [row & ~(1 << a) for a, row in enumerate(transposed(p._down))]
+    return tuple((a, b) for a in range(p.n) for b in elements_of(above[a])
+                 if above[a] & p.strict_down(b) == 0)
 
 
 def reference_heights(p):
@@ -165,13 +175,13 @@ def reference_core(p):
         return any(mask & ~rows[m] == 0 for m in elements_of(mask))
 
     downs = [p.down_set(x) for x in range(p.n)]
-    ups = [p.up_set(x) for x in range(p.n)]
+    ups = transposed(p._down)
     alive = (1 << p.n) - 1
     trace = []
     while True:
         for x in elements_of(alive):
             if (has_top(p.strict_down(x) & alive, downs)
-                    or has_top(p.strict_up(x) & alive, ups)):
+                    or has_top(ups[x] & ~(1 << x) & alive, ups)):
                 alive &= ~(1 << x)
                 trace.append(x)
                 break
@@ -262,9 +272,13 @@ def reference_law_checks(p, flows):
                 ok = False
     checks.append(BoundCheck("time_monotone", ok, "later states sit below earlier ones"))
 
+    def collapses(sf):
+        """Whether the time-1 states are the identity or repeat a state."""
+        states = [sf.evaluate(1, x) for x in range(p.n)]
+        return states == list(range(p.n)) or len(set(states)) < p.n
+
     checks.append(BoundCheck(
-        "flow_triviality_nonbijective",
-        all(sf.trivial or len(set(sf.values)) < p.n for sf in flows),
+        "flow_triviality_nonbijective", all(collapses(sf) for sf in flows),
         "non-trivial semiflow maps collapse at least one pair"))
     return checks
 
@@ -377,18 +391,21 @@ def is_isomorphic(p, q, max_n=None):
     if p.n != q.n:
         return False
 
-    def profile(r, x):
-        return (r.heights[x], r.down_set(x).bit_count(), r.up_set(x).bit_count(),
-                len(r.lower_covers(x)), len(r.upper_covers(x)))
+    def profiles(r):
+        n_lower = Counter(b for _, b in r.covers)
+        n_upper = Counter(a for a, _ in r.covers)
+        return [(r.heights[x], r.down_set(x).bit_count(), r._up[x].bit_count(),
+                 n_lower[x], n_upper[x]) for x in range(r.n)]
 
-    pprof = [profile(p, x) for x in range(p.n)]
-    qprof = [profile(q, x) for x in range(q.n)]
+    pprof = profiles(p)
+    qprof = profiles(q)
     if sorted(pprof) != sorted(qprof):
         return False
     cands = {}
     for y, prof in enumerate(qprof):
         cands.setdefault(prof, []).append(y)
     mapped = [-1] * p.n
+    lower = _lower_covers(p)
 
     def images(x, seen):
         """Images of ``x`` that agree with the points mapped onto ``seen``.
@@ -400,7 +417,7 @@ def is_isomorphic(p, q, max_n=None):
         lower covers' images; that also keeps ``y`` out of ``seen``.
         """
         below = 0
-        for c in p._lower_covers[x]:
+        for c in lower[x]:
             below |= q._down[mapped[c]]
         for y in cands[pprof[x]]:
             if q._down[y] & seen == below:
@@ -444,8 +461,8 @@ def monotone_self_maps(poset, limit=None):
 
 def _one_step_neighbours(poset, base):
     """Monotone maps comparable with ``base`` (one fence step away)."""
-    for bound in (poset.up_set, poset.down_set):
-        for values in _monotone_tables(poset, [bound(v) for v in base]):
+    for rows in (poset._up, poset._down):
+        for values in _monotone_tables(poset, [rows[v] for v in base]):
             v = tuple(values)
             if v != base:
                 yield v
@@ -462,12 +479,14 @@ def _monotone_tables(poset, allowed):
     """
     n = poset.n
     order = poset._order
+    up = poset._up
+    lower = _lower_covers(poset)
     values = [0] * n
 
     def candidates(x):
         cand = allowed[x]
-        for w in poset.lower_covers(x):
-            cand &= poset.up_set(values[w])
+        for w in lower[x]:
+            cand &= up[values[w]]
         return _ascending(cand)
 
     if n == 0:
@@ -486,6 +505,14 @@ def _monotone_tables(poset, allowed):
             yield values
         else:
             stack.append(candidates(order[k]))
+
+
+def _lower_covers(p):
+    """The lower covers of each point, read from ``p.covers`` in one pass."""
+    lower = [[] for _ in range(p.n)]
+    for a, b in p.covers:
+        lower[b].append(a)
+    return lower
 
 
 def _ascending(mask):

@@ -77,10 +77,30 @@ def test_random_poset_reproducible():
 
 
 def test_random_corpus_shape():
-    corpus = families.random_corpus(25, 9, 5)
+    corpus = list(families.random_corpus(25, 9, 5))
     assert len(corpus) == 25
     assert all(1 <= p.n <= 9 for p in corpus)
-    assert corpus == families.random_corpus(25, 9, 5)
+    assert corpus == list(families.random_corpus(25, 9, 5))
+
+
+def test_random_corpus_is_lazy(monkeypatch):
+    built = []
+    build = families.random_poset
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(families, "random_poset", counted)
+    corpus = families.random_corpus(1000, 9, 5)
+    assert built == []
+    first = next(corpus)
+    assert len(built) == 1 and first == build(*built[0])
+    # the sizes are checked at the call, before anything is drawn
+    with pytest.raises(InvalidSpecError, match=r"count >= 0 \(got -1\)"):
+        families.random_corpus(-1, 5, 0)
+    with pytest.raises(InvalidSpecError, match=r"max_n >= 1 \(got 0\)"):
+        families.random_corpus(3, 0, 0)
 
 
 def test_prng_is_pinned():

@@ -9,7 +9,7 @@ from finflow.poset import Poset, elements_of, mask_of
 
 from helpers import (brute_height, brute_lower_sets, is_isomorphic, reference_covers,
                      reference_down_rows, reference_heights, reference_is_isomorphic,
-                     reference_is_order, shuffled_relations)
+                     reference_is_order, shuffled_relations, transposed)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -91,13 +91,22 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
         if p.n > 1:
             # one extra pair b < a with a <= b closes a cycle
             a = rng.randrange(p.n)
-            b = rng.choice(elements_of(p.up_set(a)))
+            b = rng.choice(elements_of(p._up[a]))
             if a == b:
                 continue
             bad = pairs + [(labels[b], labels[a])]
             assert reference_down_rows(labels, bad) is None
             with pytest.raises(CycleError):
                 Poset.from_relations(labels, bad)
+
+
+def test_up_sets_and_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
+    # up-sets pushed down the lower covers are the transposed down-sets
+    spaces = corpus + [Poset.from_relations(*space) for space in shuffled_spaces]
+    spaces.append(families.chain(1000))  # natural order, the slow direction
+    for p in spaces:
+        assert list(p._up) == transposed(p._down)
+        assert p.covers == reference_covers(p)
 
 
 def test_unknown_and_duplicate_labels():
@@ -154,8 +163,7 @@ def test_constructor_accepts_exactly_the_partial_orders():
         accepted += 1
         p = Poset(range(n), rows)
         assert p._down == tuple(rows)
-        assert p._up == tuple(mask_of(y for y in range(n) if (rows[y] >> x) & 1)
-                              for x in range(n))
+        assert list(p._up) == transposed(rows)
         assert p.covers == reference_covers(p)
         assert p.heights == reference_heights(p)
     assert 1000 < accepted < 2500
@@ -172,9 +180,9 @@ def test_down_set_examples():
 
 def test_up_set_examples():
     p = families.example_3_1()
-    assert set(p.labels_of(p.up_set(p.index_of("E")))) == {"E", "D", "B", "C", "A"}
+    assert set(p.labels_of(p._up[p.index_of("E")])) == {"E", "D", "B", "C", "A"}
     c = families.chain(3)
-    assert elements_of(c.up_set(0)) == [0, 1, 2]
+    assert elements_of(c._up[0]) == [0, 1, 2]
 
 
 def test_heights_frozen_values():

@@ -280,8 +280,9 @@ def test_potential_points_of_many_disjoint_chains():
 
 
 def test_scan_matches_removal_search_and_movable_points():
-    spaces = (families.random_corpus(400, 12, 7) + families.random_corpus(200, 16, 9)
-              + families.random_corpus(300, 14, 3))
+    spaces = (list(families.random_corpus(400, 12, 7))
+              + list(families.random_corpus(200, 16, 9))
+              + list(families.random_corpus(300, 14, 3)))
     spaces += [families.example_3_1(), families.example_2_5(), families.pseudo_circle(),
                families.cone(families.pseudo_circle()), families.realization_family(4),
                families.chain(14), families.random_poset(16, 0.25, 5)]

@@ -37,8 +37,8 @@ CHAIN3_TABLES = [(0, 0, 0), (0, 0, 2), (0, 1, 1), (0, 1, 2)]
 def test_semiflow_validation():
     p = families.example_3_1()
     sf = Semiflow.from_moves(p, {"B": "D"})
-    assert not sf.trivial
-    assert Semiflow.identity(p).trivial
+    assert sf.moves()
+    assert not Semiflow.identity(p).moves()
     c3 = families.chain(3)
     with pytest.raises(ValueError):
         Semiflow(c3, [0, 0, 1])  # not idempotent
@@ -130,6 +130,8 @@ class OneTimeOff(Semiflow):
     (1, (0, 0, 0), "semigroup_law"),  # time 1 after time 1 is not time 2
     (1, (1, 1, 2), "semigroup_law floor_fixed time_monotone"),  # 0 goes up at 1
     (2, (1, 1, 2), "semigroup_law orbit_containment"),  # 0 goes up, only at 2
+    # a bijection at time 1 only: the collapse law reads the time-1 states
+    (1, (1, 2, 0), "semigroup_law floor_fixed time_monotone flow_triviality_nonbijective"),
 ])
 def test_law_checks_read_every_sample_time(time, table, fails):
     """One flow off at one sample time, alone, first and last among valid flows.
@@ -167,9 +169,9 @@ def test_enumerate_example_3_1_exactly():
     p = families.example_3_1()
     flows = enumerate_semiflows(p)
     assert len(flows) == 7
-    moves = [sf.moves() for sf in flows if not sf.trivial]
+    moves = [m for m in (sf.moves() for sf in flows) if m]
     assert moves == EX31_NONTRIVIAL
-    assert sum(sf.trivial for sf in flows) == 1
+    assert sum(not sf.moves() for sf in flows) == 1
 
 
 def test_semiflows_are_their_maps(corpus_flows):
@@ -193,7 +195,7 @@ def test_enumerate_minimal_spaces_trivial_only():
     for p in (families.pseudo_circle(),
               families.example_2_5().induced(0b01111)[0]):
         flows = enumerate_semiflows(p)
-        assert len(flows) == 1 and flows[0].trivial
+        assert len(flows) == 1 and not flows[0].moves()
 
 
 def test_enumeration_is_canonical():
@@ -228,7 +230,7 @@ def test_oracle_agrees_with_enumerator_on_families(corpus_flows):
 
 
 def test_oracle_matches_reference_product_filter():
-    spaces = families.random_corpus(120, 8, 4242) + SMALL_SPACES
+    spaces = list(families.random_corpus(120, 8, 4242)) + SMALL_SPACES
     rng = random.Random(4242)
     for _ in range(80):
         p = families.random_poset(rng.randint(1, 8), rng.random(), rng.getrandbits(32))
@@ -288,7 +290,7 @@ def test_size_guards():
 def test_census():
     p = families.example_3_1()
     c = _census(p)
-    assert len(c.flows) == 7 and sum(not sf.trivial for sf in c.flows) == 6
+    assert len(c.flows) == 7 and sum(not sf.moves() for sf in c.flows) == 1
     assert c.down.bit_count() == 2 and c.pot.bit_count() == 3
     assert len(c.flows) >= 2 ** c.down.bit_count()
     assert all(check.satisfied for check in c.checks)
@@ -366,7 +368,7 @@ def test_realization_family_counts():
         assert pot == {f"x{i}" for i in range(n + 1)}
         # the non-trivial maps drop prefixes x0..xi onto their landings
         expected = [{f"x{j}": f"y{j}" for j in range(i + 1)} for i in range(n + 1)]
-        got = [sf.moves() for sf in flows if not sf.trivial]
+        got = [m for m in (sf.moves() for sf in flows) if m]
         assert sorted(got, key=len) == expected
 
 
