@@ -40,6 +40,12 @@ def _load(path):
     return formats.parse_poset_text(text)
 
 
+def _non_negative_int(text):
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return int(text)
+
+
 def _limit(args):
     if args.limit is not None:
         print(f"warning: size guards raised to {args.limit}; "
@@ -173,7 +179,7 @@ def _build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=func)
         if with_limit:
-            cmd.add_argument("--limit", type=int, default=None, metavar="N",
+            cmd.add_argument("--limit", type=_non_negative_int, default=None, metavar="N",
                              help="raise the size guards to N (prints a warning)")
         return cmd
 

@@ -68,31 +68,6 @@ def _extremal(below, mask):
     return mask & ~dominated
 
 
-def _cycle_error(labels, adj, indeg):
-    """CycleError naming two elements of one cycle.
-
-    ``indeg`` is left over from a topological pass that stalled: every
-    element it still counts has an unsorted predecessor, so walking back
-    along those predecessors must revisit an element, and the walk from
-    there on is a cycle.
-    """
-    left = mask_of(x for x, d in enumerate(indeg) if d)
-    preds = [0] * len(labels)
-    for w in elements_of(left):
-        for y in elements_of(adj[w] & left):
-            preds[y] |= 1 << w
-    walk, seen = [], {}
-    x = (left & -left).bit_length() - 1
-    while x not in seen:
-        seen[x] = len(walk)
-        walk.append(x)
-        x = (preds[x] & -preds[x]).bit_length() - 1
-    cycle = walk[seen[x]:]  # cycle[i + 1] < cycle[i], and cycle[0] < cycle[-1]
-    i = cycle.index(min(cycle))
-    a, b = labels[cycle[i]], labels[cycle[i - 1]]
-    return CycleError(f"{a!r} < {b!r} and {b!r} < {a!r}")
-
-
 class Poset:
     """Immutable finite poset over labelled elements.
 
@@ -161,8 +136,9 @@ class Poset:
 
         Pairs may be arbitrary strict comparabilities, not just covers; the
         reflexive-transitive closure is applied.  Raises CycleError when the
-        closure would violate antisymmetry and UnknownLabelError when a pair
-        mentions an undeclared name.
+        closure would violate antisymmetry, naming the lowest-index element
+        of one cycle and the element above it on that cycle, and
+        UnknownLabelError when a pair mentions an undeclared name.
         """
         labels = list(labels)
         index = {}
@@ -172,6 +148,7 @@ class Poset:
             index[lab] = len(index)
         n = len(labels)
         adj = [0] * n
+        pred = [0] * n
         for a, b in pairs:
             if a not in index:
                 raise UnknownLabelError(f"unknown label {a!r}")
@@ -181,13 +158,11 @@ class Poset:
             if ia == ib:
                 raise CycleError(f"{a!r} < {b!r} violates antisymmetry")
             adj[ia] |= 1 << ib
+            pred[ib] |= 1 << ia
         # One Kahn pass in topological order: every predecessor of y is
         # final before y is taken, so down[y] |= down[x] along each pair
         # gives the reflexive-transitive closure.
-        indeg = [0] * n
-        for x in range(n):
-            for y in elements_of(adj[x]):
-                indeg[y] += 1
+        indeg = [m.bit_count() for m in pred]
         down = [1 << x for x in range(n)]
         ready = [x for x in range(n) if indeg[x] == 0]
         for x in ready:
@@ -197,7 +172,19 @@ class Poset:
                 if indeg[y] == 0:
                     ready.append(y)
         if len(ready) < n:
-            raise _cycle_error(labels, adj, indeg)
+            # Each unsorted element has an unsorted predecessor, so walking back
+            # along the lowest one closes a cycle, with cycle[i + 1] < cycle[i].
+            left = mask_of(x for x, d in enumerate(indeg) if d)
+            seen = {}
+            x = (left & -left).bit_length() - 1
+            while x not in seen:
+                seen[x] = len(seen)
+                below = pred[x] & left
+                x = (below & -below).bit_length() - 1
+            cycle = list(seen)[seen[x]:]
+            i = cycle.index(min(cycle))
+            a, b = labels[cycle[i]], labels[cycle[i - 1]]
+            raise CycleError(f"{a!r} < {b!r} and {b!r} < {a!r}")
         return cls(labels, down)
 
     # -- lookups ---------------------------------------------------------

@@ -173,6 +173,19 @@ def test_random_suite_warns_once_about_the_limit(capsys):
                    "expect exponential cost on large inputs\n")
 
 
+@pytest.mark.parametrize("argv, n", [(("semiflows", "c3.txt", "--count"), 3),
+                                     (("random-suite", "--count", "1"), 8)])
+def test_negative_limit_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, n):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c3.txt").write_text(write_poset_text(families.chain(3)))
+    code, out, err = run(capsys, *argv, "--limit", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: argument --limit: invalid non-negative int value: '-1'\n"
+    # 0 is a valid limit, which refuses any non-empty input
+    code, out, err = run(capsys, *argv, "--limit", "0")
+    assert code == 3 and out == "" and err.endswith(f"limited to 0 elements (got {n})\n")
+
+
 def test_random_suite_refuses_max_n_above_the_guard_first(capsys, monkeypatch):
     def build(*args):
         raise AssertionError("corpus built before the size guard")

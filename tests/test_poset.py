@@ -45,22 +45,40 @@ def cycle_message_labels(err):
     return set(re.findall(r"'([^']*)'", str(err.value)))
 
 
+def assert_names_cycle(err, pairs):
+    """The message names ``a < b``, a given pair, where b reaches a along the pairs."""
+    a, b = re.fullmatch(r"'([^']*)' < '([^']*)' and '\2' < '\1'", str(err.value)).groups()
+    assert (a, b) in pairs
+    above = {}
+    for x, y in pairs:
+        above.setdefault(x, set()).add(y)
+    reached, todo = {b}, [b]
+    while todo:
+        for y in above.get(todo.pop(), ()):
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    assert a in reached
+
+
 def test_cycle_errors():
     with pytest.raises(CycleError) as err:
         Poset.from_relations(["a", "b"], [("a", "b"), ("b", "a")])
     assert str(err.value) == "'a' < 'b' and 'b' < 'a'"
     with pytest.raises(CycleError):
         Poset.from_relations(["a"], [("a", "a")])
+    pairs = [("a", "b"), ("b", "c"), ("c", "a")]
     with pytest.raises(CycleError) as err:
-        Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        Poset.from_relations(["a", "b", "c"], pairs)
     assert cycle_message_labels(err) <= {"a", "b", "c"}
+    assert_names_cycle(err, pairs)
 
     # acyclic parts downstream of the cycle come first in the label order
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"), ("f", "a")]
     with pytest.raises(CycleError) as err:
-        Poset.from_relations(["d", "e", "f", "a", "b", "c"],
-                             [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
-                              ("d", "e"), ("f", "a")])
+        Poset.from_relations(["d", "e", "f", "a", "b", "c"], pairs)
     assert cycle_message_labels(err) <= {"a", "b", "c"}
+    assert_names_cycle(err, pairs)
 
     # a 50-element cycle hidden among 300 points, fed from below by the low
     # v's and feeding the high v's, which never reach back to it; the high
@@ -77,6 +95,7 @@ def test_cycle_errors():
         Poset.from_relations(labels, pairs)
     named = cycle_message_labels(err)
     assert len(named) == 2 and named <= set(ring)
+    assert_names_cycle(err, pairs)
 
 
 def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
@@ -88,6 +107,14 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
         assert list(p._down) == reference_down_rows(labels, pairs)
         assert p.covers == reference_covers(p)
         assert p.heights == reference_heights(p)
+        # repeated pairs and pairs implied by transitivity change nothing
+        strict = [(p.labels[a], p.labels[b]) for b in range(p.n)
+                  for a in elements_of(p.strict_down(b))]
+        pairs = pairs + rng.sample(pairs, min(3, len(pairs)))
+        pairs += rng.sample(strict, min(5, len(strict)))
+        rng.shuffle(pairs)
+        q = Poset.from_relations(labels, pairs)
+        assert q._down == p._down and list(q._down) == reference_down_rows(labels, pairs)
         if p.n > 1:
             # one extra pair b < a with a <= b closes a cycle
             a = rng.randrange(p.n)
@@ -96,8 +123,9 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
                 continue
             bad = pairs + [(labels[b], labels[a])]
             assert reference_down_rows(labels, bad) is None
-            with pytest.raises(CycleError):
+            with pytest.raises(CycleError) as err:
                 Poset.from_relations(labels, bad)
+            assert_names_cycle(err, bad)
 
 
 def test_up_sets_and_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
