@@ -48,7 +48,7 @@ def _non_negative_int(text):
 
 def _limit(args):
     if args.limit is not None:
-        print(f"warning: size guards raised to {args.limit}; "
+        print(f"warning: size guards set to {args.limit}; "
               "expect exponential cost on large inputs", file=sys.stderr)
     return args.limit
 
@@ -180,7 +180,7 @@ def _build_parser():
         cmd.set_defaults(func=func)
         if with_limit:
             cmd.add_argument("--limit", type=_non_negative_int, default=None, metavar="N",
-                             help="raise the size guards to N (prints a warning)")
+                             help="set the size guards to N (prints a warning)")
         return cmd
 
     cmd = add("validate", _cmd_validate, "parse a poset file and report its shape",

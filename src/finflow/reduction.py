@@ -1,19 +1,26 @@
 """Beat points, cores, and removal sequences.
 
-A down beat point is one whose strict down-set has a maximum; deleting it
-leaves a strong deformation retract.  An up beat point is a down beat point
-of the opposite order, so both are one test read through swapped up- and
-down-set tables.  Iterating deletions yields the core.  A removal sequence
-is a tuple of the deleted points in order; their heights come from the
-poset, and the sequences witness which points a semiflow can move.
-Those points form one largest set, found by a single upward scan with the
-down-beat test as its only rule; the witness of a point is that set's part
-below it, in scan order.
+Following Stong (Trans. AMS 123, 1966), a down beat point is a point that
+covers exactly one point, so its strict down-set has that point as its
+maximum; an up beat point is one covered by exactly one point.  Deleting
+either leaves a strong deformation retract, and iterating deletions yields
+the core.  Both beat tests read per-point cover rows built once from
+``Poset.covers``, and ``core`` keeps those rows live as it deletes.
+
+A removal sequence is a tuple of the deleted points in order; their heights
+come from the poset, and the sequences witness which points a semiflow can
+move.  Those points form one largest set, found by a single upward scan
+with the down-beat test as its only rule; the witness of a point is that
+set's part below it, in scan order.  The scan and the enumerator test
+subspaces that change by more than one point at a time, and they and
+``validate_removal_sequence`` need the cover point itself, not only whether
+one exists; so they use ``_cover``, a maximum search over the live strict
+down-set (or up-set), rather than the rows.
 """
 
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import _extremal, _top, elements_of, mask_of
+from .poset import _top, elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -45,10 +52,19 @@ def _cover(above, below, x, alive):
     return _top(above, below, below[x] & alive & ~(1 << x))
 
 
-def _beats(above, below, among, alive):
-    """Points of ``among`` with a ``_cover`` within ``alive``."""
-    return mask_of(x for x in elements_of(among)
-                   if _cover(above, below, x, alive) is not None)
+def _cover_rows(p):
+    """Per-point lower and upper cover rows, as bitmasks, from ``p.covers``."""
+    lower = [0] * p.n
+    upper = [0] * p.n
+    for a, b in p.covers:
+        lower[b] |= 1 << a
+        upper[a] |= 1 << b
+    return lower, upper
+
+
+def _single(rows, points):
+    """The ``points`` whose row holds exactly one bit."""
+    return mask_of(x for x in points if rows[x].bit_count() == 1)
 
 
 def _down_cover(p, x, alive):
@@ -57,13 +73,13 @@ def _down_cover(p, x, alive):
 
 
 def down_beat_points(p):
-    """Points whose strict down-set has a maximum."""
-    return _beats(p._up, p._down, p.full_mask, p.full_mask)
+    """Points that cover exactly one point."""
+    return _single(_cover_rows(p)[0], range(p.n))
 
 
 def up_beat_points(p):
-    """Points whose strict up-set has a minimum."""
-    return _beats(p._down, p._up, p.full_mask, p.full_mask)
+    """Points covered by exactly one point."""
+    return _single(_cover_rows(p)[1], range(p.n))
 
 
 def beat_points(p):
@@ -83,22 +99,36 @@ def core(p):
     labels retained on the core; a space without beat points is returned
     as it is.
 
-    Whether a point is a down beat point depends only on the maximal
-    elements of its strict down-set, and deleting a point that is not one
-    of them leaves them as they were.  So deleting ``x`` can change only
-    the down-beat status of the points covering ``x`` and the up-beat
-    status of the points ``x`` covers, and only those are tested again.
+    The cover rows of the live subspace are kept as deletions go, and a
+    point is a down (up) beat point while its lower (upper) row holds one
+    bit.  Deleting ``x`` keeps every cover that does not involve ``x`` and
+    clears ``x`` from its neighbours' rows.  A new cover ``l < u`` appears
+    only where ``x`` was all that lay between, so it links each lower cover
+    ``l`` of ``x`` to each upper cover ``u`` whose live interval is now
+    ``{l, u}``.  Only the rows of those neighbours change, so only they are
+    tested again.
     """
-    sides = ((p._up, p._down), (p._down, p._up))
+    lower, upper = _cover_rows(p)
+    down = _single(lower, range(p.n))
+    up = _single(upper, range(p.n))
     alive = p.full_mask
-    masks = [_beats(a, b, alive, alive) for a, b in sides]
     trace = []
-    while beats := masks[0] | masks[1]:
+    while beats := down | up:
         x = (beats & -beats).bit_length() - 1
-        alive &= ~(1 << x)
-        for i, (a, b) in enumerate(sides):
-            near = _extremal(a, a[x] & alive)
-            masks[i] = masks[i] & alive & ~near | _beats(a, b, near, alive)
+        bit = 1 << x
+        alive ^= bit
+        below, above = elements_of(lower[x]), elements_of(upper[x])
+        for l in below:
+            upper[l] ^= bit
+        for u in above:
+            lower[u] ^= bit
+            for l in below:
+                ends = (1 << l) | (1 << u)
+                if p._up[l] & p._down[u] & alive == ends:
+                    lower[u] |= 1 << l
+                    upper[l] |= 1 << u
+        down = down & ~(bit | upper[x]) | _single(lower, above)
+        up = up & ~(bit | lower[x]) | _single(upper, below)
         trace.append(x)
     if not trace:
         return p, trace

@@ -169,8 +169,14 @@ def test_random_suite(capsys):
 def test_random_suite_warns_once_about_the_limit(capsys):
     code, out, err = run(capsys, "random-suite", "--count", "4", "--max-n", "5", "--limit", "9")
     assert code == 0 and out == "4/4 posets verified\n"
-    assert err == ("warning: size guards raised to 9; "
+    assert err == ("warning: size guards set to 9; "
                    "expect exponential cost on large inputs\n")
+    # the same wording when the limit lowers the guards below the input
+    code, out, err = run(capsys, "random-suite", "--count", "1", "--max-n", "3", "--limit", "0")
+    assert code == 3 and out == ""
+    assert err == ("warning: size guards set to 0; "
+                   "expect exponential cost on large inputs\n"
+                   "error: semiflow enumeration limited to 0 elements (got 3)\n")
 
 
 @pytest.mark.parametrize("argv, n", [(("semiflows", "c3.txt", "--count"), 3),

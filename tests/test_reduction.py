@@ -36,10 +36,16 @@ def test_up_beat_points_from_definition():
     assert labset(q, up_beat_points(q)) == {"C"}
 
 
-def test_beat_points_against_definition_oracle(corpus):
-    for p in corpus[:60]:
+def test_beat_points_against_definition_oracle(corpus, shuffled_spaces):
+    spaces = list(corpus[:60]) + [Poset.from_relations(*s) for s in shuffled_spaces]
+    for p in spaces:
         assert set(elements_of(down_beat_points(p))) == brute_down_beats(p)
         assert set(elements_of(up_beat_points(p))) == brute_up_beats(p)
+    # in natural order every point of a chain but the bottom covers its
+    # predecessor, and every point but the top is covered by its successor
+    chain = families.chain(1000)
+    assert down_beat_points(chain) == chain.full_mask & ~1
+    assert up_beat_points(chain) == chain.full_mask >> 1
 
 
 def test_minimality():
@@ -90,14 +96,11 @@ def test_core_is_minimal_on_corpus(corpus):
 def test_core_unique_up_to_isomorphism(corpus):
     # removing beat points in the opposite order must give the same core
     def core_highest_first(p):
-        from finflow.reduction import _beats
         alive = p.full_mask
-        while True:
-            beats = (_beats(p._up, p._down, alive, alive)
-                     | _beats(p._down, p._up, alive, alive))
-            if not beats:
-                break
-            alive &= ~(1 << (beats.bit_length() - 1))
+        while beats := [x for x in elements_of(alive)
+                        if reduction._cover(p._up, p._down, x, alive) is not None
+                        or reduction._cover(p._down, p._up, x, alive) is not None]:
+            alive &= ~(1 << beats[-1])
         return p.induced(alive)[0]
 
     spaces = [families.example_3_1(), families.example_2_5(),
@@ -109,7 +112,10 @@ def test_core_unique_up_to_isomorphism(corpus):
 
 
 def test_core_matches_rescan_reference(corpus, shuffled_spaces):
+    # deleting points of the cone and of x_n links covers across them
     spaces = list(corpus) + [Poset.from_relations(*s) for s in shuffled_spaces]
+    spaces += [families.cone(families.pseudo_circle())]
+    spaces += [families.realization_family(n) for n in range(7)]
     for p in spaces:
         c, trace = core(p)
         assert (c.labels, trace) == reference_core(p)
@@ -136,23 +142,22 @@ def test_core_without_beat_points_returns_the_space():
 
 
 def test_core_tests_only_the_neighbours_of_removed_points(monkeypatch):
-    # The initial scan tests each point once per direction; after that a
-    # deletion tests only the points covering or covered by the deleted one,
-    # which on these inputs stays within 3n.  Rescanning every live point
-    # after each deletion would take about n per deletion.
-    calls = []
-    real = reduction._cover
-    monkeypatch.setattr(reduction, "_cover",
-                        lambda above, below, x, alive: calls.append(x)
-                        or real(above, below, x, alive))
+    # A deletion lists the live covers of the deleted point, at least one
+    # since it is a beat point, and tests only those neighbours again; on
+    # these inputs that stays within 3n listed points.  Listing every live
+    # point after each deletion would take about n per deletion.
+    listed = []
+    real = reduction.elements_of
+    monkeypatch.setattr(reduction, "elements_of",
+                        lambda mask: listed.extend(real(mask)) or real(mask))
     rng = random.Random(300)
     sparse = Poset.from_relations(
         *shuffled_relations(families.random_poset(300, 0.02, 11), rng))
     for p in (families.chain(300), sparse):
-        calls.clear()
+        listed.clear()
         _, trace = core(p)
         assert len(trace) > 50
-        assert len(calls) - 2 * p.n <= 3 * p.n
+        assert len(trace) <= len(listed) <= 3 * p.n
 
 
 def test_potential_down_beat_points_examples():
