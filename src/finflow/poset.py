@@ -31,40 +31,21 @@ def elements_of(mask):
     return out
 
 
-def _top(above, below, s):
-    """The element of ``s`` that every element of ``s`` reaches, or None.
+def _extremal(down, mask):
+    """Maximal members of ``mask``: nothing of ``mask`` lies strictly above them.
 
-    With ``above`` the up-sets (and ``below`` the down-sets) this is the
-    maximum of ``s``; with the tables swapped it is the minimum.  ``acc``
-    keeps the members of ``s`` above everything seen so far, and by
-    antisymmetry at most one survives.  Members below a seen element are
-    skipped: their up-sets contain its up-set, so they cannot shrink ``acc``.
-    """
-    acc = todo = s
-    while todo:
-        low = todo & -todo
-        z = low.bit_length() - 1
-        acc &= above[z]
-        if not acc:
-            return None
-        todo &= ~below[z]
-    return acc.bit_length() - 1 if acc else None
-
-
-def _extremal(below, mask):
-    """Members of ``mask`` with nothing of ``mask`` strictly above them.
-
-    ``below`` holds the down-sets for maximal elements and the up-sets for
-    minimal ones.  A member already known to be dominated is skipped: what
-    lies under it lies under its dominator, whose row is already merged.
+    Members are visited highest index first, so on bottom-first labels the
+    first few rows merged already cover the rest.  A member already known
+    to be dominated is skipped: what lies under it lies under its
+    dominator, whose row is already merged.
     """
     dominated = 0
     todo = mask
     while todo:
-        low = todo & -todo
-        dominated |= below[low.bit_length() - 1] ^ low
-        todo &= ~dominated
-        todo ^= low
+        z = todo.bit_length() - 1
+        row = down[z]
+        dominated |= row ^ (1 << z)
+        todo &= ~row
     return mask & ~dominated
 
 

@@ -14,13 +14,13 @@ with the down-beat test as its only rule; the witness of a point is that
 set's part below it, in scan order.  The scan and the enumerator test
 subspaces that change by more than one point at a time, and they and
 ``validate_removal_sequence`` need the cover point itself, not only whether
-one exists; so they use ``_cover``, a maximum search over the live strict
-down-set (or up-set), rather than the rows.
+one exists; so they use ``_down_cover``, a maximum search over the live
+strict down-set that reads down-set rows only, rather than the cover rows.
 """
 
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import _top, elements_of, mask_of
+from .poset import elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -42,16 +42,6 @@ class RemovalSequence(tuple):
         return f"RemovalSequence({tuple(self)!r})"
 
 
-def _cover(above, below, x, alive):
-    """Top of the strict ``below``-set of ``x`` within ``alive``, or None.
-
-    With ``(p._up, p._down)`` this is the down cover of ``x``, the maximum
-    of what lies under it; with the tables swapped it is the up cover, the
-    minimum of what lies over it.
-    """
-    return _top(above, below, below[x] & alive & ~(1 << x))
-
-
 def _cover_rows(p):
     """Per-point lower and upper cover rows, as bitmasks, from ``p.covers``."""
     lower = [0] * p.n
@@ -68,8 +58,22 @@ def _single(rows, points):
 
 
 def _down_cover(p, x, alive):
-    """Maximum of the strict down-set of ``x`` within ``alive``, or None."""
-    return _cover(p._up, p._down, x, alive)
+    """Maximum of the strict down-set of ``x`` within ``alive``, or None.
+
+    The highest remaining candidate ``z`` is the maximum when its down-set
+    holds the whole live strict down-set; otherwise nothing under ``z`` is,
+    so its down-set leaves the candidates.  A maximum lies under no other
+    member, so it is never dropped that way.
+    """
+    down = p._down
+    s = todo = down[x] & alive & ~(1 << x)
+    while todo:
+        z = todo.bit_length() - 1
+        row = down[z]
+        if s & ~row == 0:
+            return z
+        todo &= ~row
+    return None
 
 
 def down_beat_points(p):

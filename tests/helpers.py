@@ -221,6 +221,14 @@ def shuffled_relations(p, rng):
     return labels, pairs
 
 
+def top_first(p):
+    """``p`` with its labels in reverse index order, so bottom first becomes top first."""
+    from finflow.poset import Poset
+
+    pairs = [(p.labels[a], p.labels[b]) for a, b in p.covers]
+    return Poset.from_relations(p.labels[::-1], pairs)
+
+
 def sphere_model(k):
     """Minimal finite model of the (k-1)-sphere: k two-point antichains stacked."""
     from finflow.poset import Poset

@@ -3,13 +3,14 @@ import re
 
 import pytest
 
-from finflow import families
+from finflow import families, poset
 from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
 from finflow.poset import Poset, elements_of, mask_of
 
 from helpers import (brute_height, brute_lower_sets, is_isomorphic, reference_covers,
                      reference_down_rows, reference_heights, reference_is_isomorphic,
-                     reference_is_order, shuffled_relations, transposed)
+                     reference_is_order, shuffled_relations, top_first,
+                     transposed)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -131,10 +132,32 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
 def test_up_sets_and_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
     # up-sets pushed down the lower covers are the transposed down-sets
     spaces = corpus + [Poset.from_relations(*space) for space in shuffled_spaces]
-    spaces.append(families.chain(1000))  # natural order, the slow direction
+    # both orders of a long chain: bottom first as generated, and top first
+    spaces += [families.chain(1000), top_first(families.chain(1000))]
     for p in spaces:
         assert list(p._up) == transposed(p._down)
         assert p.covers == reference_covers(p)
+
+
+def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
+    # Each element's cover search visits its down-set highest index first.
+    # On a chain in natural order the first row read holds the whole rest,
+    # so the build reads at most one row per element; visiting the lowest
+    # index first would read every row below each element, n(n-1)/2 in all.
+    reads = []
+
+    class CountingRows(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    real = poset._extremal
+    monkeypatch.setattr(poset, "_extremal",
+                        lambda down, mask: real(CountingRows(down), mask))
+    n = 1000
+    c = families.chain(n)
+    assert c.covers == tuple((i, i + 1) for i in range(n - 1))
+    assert len(reads) <= 2 * n
 
 
 def test_unknown_and_duplicate_labels():

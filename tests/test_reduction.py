@@ -13,7 +13,7 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
 
 from helpers import (brute_down_beats, brute_up_beats, disjoint_union, is_isomorphic,
                      reference_core, reference_movable, reference_removal_search,
-                     shuffled_relations)
+                     shuffled_relations, top_first)
 
 
 def labset(p, mask):
@@ -57,7 +57,7 @@ def test_minimality():
     assert is_minimal_space(families.pseudo_circle())
 
 
-def test_down_cover():
+def test_down_cover(corpus, shuffled_spaces):
     def down_cover(p, x):
         return reduction._down_cover(p, x, p.full_mask)
 
@@ -67,6 +67,25 @@ def test_down_cover():
     assert q.labels[down_cover(q, q.index_of("E"))] == "C"
     assert down_cover(p, p.index_of("E")) is None  # minimal element
     assert down_cover(p, p.index_of("A")) is None  # two maximal elements below
+
+    # the definition: the live strict down-set's member whose down-set holds it all
+    def reference_cover(p, x, alive):
+        s = p.strict_down(x) & alive
+        return next((m for m in elements_of(s) if s & ~p.down_set(m) == 0), None)
+
+    rng = random.Random(19)
+    chain = families.chain(200)
+    spaces = list(corpus) + [Poset.from_relations(*s) for s in shuffled_spaces]
+    spaces += [chain, top_first(chain)]
+    found = 0
+    for p in spaces:
+        for _ in range(3):
+            alive = rng.getrandbits(p.n) | rng.getrandbits(p.n)
+            for x in range(p.n):
+                want = reference_cover(p, x, alive)
+                assert reduction._down_cover(p, x, alive) == want
+                found += want is not None
+    assert found > 1000
 
 
 def test_core_examples():
@@ -95,13 +114,15 @@ def test_core_is_minimal_on_corpus(corpus):
 
 def test_core_unique_up_to_isomorphism(corpus):
     # removing beat points in the opposite order must give the same core
+    # with the beat test read from the definition on each live subspace
     def core_highest_first(p):
         alive = p.full_mask
-        while beats := [x for x in elements_of(alive)
-                        if reduction._cover(p._up, p._down, x, alive) is not None
-                        or reduction._cover(p._down, p._up, x, alive) is not None]:
-            alive &= ~(1 << beats[-1])
-        return p.induced(alive)[0]
+        while True:
+            sub, old = p.induced(alive)
+            beats = brute_down_beats(sub) | brute_up_beats(sub)
+            if not beats:
+                return sub
+            alive &= ~(1 << old[max(beats)])
 
     spaces = [families.example_3_1(), families.example_2_5(),
               families.cone(families.pseudo_circle())] + list(corpus[:40])
