@@ -52,16 +52,19 @@ def _extremal(down, mask):
 class Poset:
     """Immutable finite poset over labelled elements.
 
-    Construct with :meth:`from_relations`; the direct constructor expects
-    prebuilt down-set rows and validates that they form a partial order:
-    one pass in order of row size requires each row to be its own bit OR-ed
+    ``Poset(labels, down_rows)`` is the validating constructor: it takes
+    prebuilt down-set rows and checks that they form a partial order.  One
+    pass in order of row size requires each row to be its own bit OR-ed
     with the rows of its lower covers (else ValueError), none of which may
     contain it (else CycleError).  Those rows are then strictly smaller, so
     by induction on row size every row is closed and antisymmetric.
+    :meth:`from_relations` and :meth:`induced` build from an order already
+    known to be valid, so they hand their lower covers straight to the
+    shared table fill and skip that pass.
 
     A poset stores its down-sets (``_down``, the minimal open sets), its
     up-sets (``_up``, the closures), ``covers``, ``heights`` and the scan
-    order ``_order``; the last three come from that lower-cover pass.
+    order ``_order``; all but ``_down`` are filled from the lower covers.
     """
 
     __slots__ = ("n", "labels", "covers", "heights", "_down", "_up", "_index", "_order")
@@ -72,8 +75,7 @@ class Poset:
         n = len(labels)
         if len(down) != n:
             raise ValueError("one relation row per label required")
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != n:
+        if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         full = (1 << n) - 1
         for x, row in enumerate(down):
@@ -82,8 +84,8 @@ class Poset:
             if not (row >> x) & 1:
                 raise ValueError("order must be reflexive")
         lower = [()] * n
-        ht = [0] * n
-        for x in sorted(range(n), key=lambda x: down[x].bit_count()):
+        order = sorted(range(n), key=lambda x: down[x].bit_count())
+        for x in order:
             bit = 1 << x
             acc = bit
             lower[x] = elements_of(_extremal(down, down[x] ^ bit))
@@ -91,9 +93,29 @@ class Poset:
                 if down[a] & bit:
                     raise CycleError(f"antisymmetry violated at {labels[x]!r}")
                 acc |= down[a]
-                ht[x] = max(ht[x], ht[a] + 1)
             if acc != down[x]:
                 raise ValueError("order must be transitive")
+        self._fill(labels, down, lower, order)
+
+    @classmethod
+    def _from_lower(cls, labels, down, lower, order):
+        """The poset of a valid order, from its closed rows and lower covers.
+
+        ``lower[x]`` lists the lower covers of ``x`` ascending, and ``order``
+        is any linear extension; nothing is checked.
+        """
+        p = object.__new__(cls)
+        p._fill(tuple(labels), tuple(down), lower, order)
+        return p
+
+    def _fill(self, labels, down, lower, order):
+        """Set every table from the rows, lower covers and a linear extension."""
+        n = len(labels)
+        ht = [0] * n
+        for x in order:
+            for a in lower[x]:
+                if ht[a] >= ht[x]:
+                    ht[x] = ht[a] + 1
         # scan order: by height, ties by index, so all below x comes before x
         self._order = tuple(sorted(range(n), key=ht.__getitem__))
         # in reverse scan order every upper cover of b has pushed into up[b]
@@ -105,7 +127,7 @@ class Poset:
         self.labels = labels
         self._down = down
         self._up = tuple(up)
-        self._index = index
+        self._index = dict(zip(labels, range(n)))
         # the pairs come with b ascending, so a stable sort on a gives (a, b) order
         self.covers = tuple(sorted(((a, b) for b in range(n) for a in lower[b]),
                                    key=itemgetter(0)))
@@ -120,6 +142,12 @@ class Poset:
         closure would violate antisymmetry, naming the lowest-index element
         of one cycle and the element above it on that cycle, and
         UnknownLabelError when a pair mentions an undeclared name.
+
+        A cover ``a < b`` cannot be implied through another element, so it
+        is one of the given pairs: the lower covers of ``b`` are the maximal
+        members of its direct predecessors.  The closure pass already shows
+        the relation acyclic, so the poset is built without the
+        constructor's checks.
         """
         labels = list(labels)
         index = {}
@@ -166,7 +194,8 @@ class Poset:
             i = cycle.index(min(cycle))
             a, b = labels[cycle[i]], labels[cycle[i - 1]]
             raise CycleError(f"{a!r} < {b!r} and {b!r} < {a!r}")
-        return cls(labels, down)
+        lower = [elements_of(_extremal(down, m)) for m in pred]
+        return cls._from_lower(labels, down, lower, ready)
 
     # -- lookups ---------------------------------------------------------
 
@@ -206,17 +235,28 @@ class Poset:
         """Subposet on ``mask``.
 
         Returns ``(poset, old_indices)`` where ``old_indices[i]`` is the
-        original index of the new element ``i``; labels are retained.
+        original index of the new element ``i``; labels are retained.  The
+        kept points are visited in scan order, so the new rows of a point's
+        lower covers in the subposet (the maximal kept points strictly
+        below it) are ready when it comes up.
         """
         old = elements_of(mask)
         pos = {o: i for i, o in enumerate(old)}
-        rows = []
-        for o in old:
-            row = 0
-            for y in elements_of(self._down[o] & mask):
-                row |= 1 << pos[y]
-            rows.append(row)
-        return Poset([self.labels[o] for o in old], rows), tuple(old)
+        rows = [0] * len(old)
+        lower = [()] * len(old)
+        order = []
+        for o in self._order:
+            bit = 1 << o
+            if mask & bit:
+                i = pos[o]
+                lower[i] = low = [pos[a] for a in
+                                  elements_of(_extremal(self._down, self._down[o] & mask ^ bit))]
+                row = 1 << i
+                for a in low:
+                    row |= rows[a]
+                rows[i] = row
+                order.append(i)
+        return Poset._from_lower([self.labels[o] for o in old], rows, lower, order), tuple(old)
 
     # -- value semantics ---------------------------------------------------
 

@@ -4,8 +4,9 @@ Following Stong (Trans. AMS 123, 1966), a down beat point is a point that
 covers exactly one point, so its strict down-set has that point as its
 maximum; an up beat point is one covered by exactly one point.  Deleting
 either leaves a strong deformation retract, and iterating deletions yields
-the core.  Both beat tests read per-point cover rows built once from
-``Poset.covers``, and ``core`` keeps those rows live as it deletes.
+the core.  Each beat test reads per-point cover rows built from
+``Poset.covers``, only on the side it tests, and ``core`` keeps both sides
+live as it deletes.
 
 A removal sequence is a tuple of the deleted points in order; their heights
 come from the poset, and the sequences witness which points a semiflow can
@@ -20,7 +21,7 @@ strict down-set that reads down-set rows only, rather than the cover rows.
 
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import elements_of, mask_of
+from .poset import elements_of
 
 SEARCH_LIMIT = 16
 
@@ -42,19 +43,29 @@ class RemovalSequence(tuple):
         return f"RemovalSequence({tuple(self)!r})"
 
 
-def _cover_rows(p):
-    """Per-point lower and upper cover rows, as bitmasks, from ``p.covers``."""
-    lower = [0] * p.n
-    upper = [0] * p.n
+def _lower_rows(p):
+    """Per-point lower cover rows, as bitmasks, from ``p.covers``."""
+    rows = [0] * p.n
     for a, b in p.covers:
-        lower[b] |= 1 << a
-        upper[a] |= 1 << b
-    return lower, upper
+        rows[b] |= 1 << a
+    return rows
+
+
+def _upper_rows(p):
+    """Per-point upper cover rows, as bitmasks, from ``p.covers``."""
+    rows = [0] * p.n
+    for a, b in p.covers:
+        rows[a] |= 1 << b
+    return rows
 
 
 def _single(rows, points):
     """The ``points`` whose row holds exactly one bit."""
-    return mask_of(x for x in points if rows[x].bit_count() == 1)
+    m = 0
+    for x in points:
+        if rows[x].bit_count() == 1:
+            m |= 1 << x
+    return m
 
 
 def _down_cover(p, x, alive):
@@ -78,12 +89,12 @@ def _down_cover(p, x, alive):
 
 def down_beat_points(p):
     """Points that cover exactly one point."""
-    return _single(_cover_rows(p)[0], range(p.n))
+    return _single(_lower_rows(p), range(p.n))
 
 
 def up_beat_points(p):
     """Points covered by exactly one point."""
-    return _single(_cover_rows(p)[1], range(p.n))
+    return _single(_upper_rows(p), range(p.n))
 
 
 def beat_points(p):
@@ -112,7 +123,7 @@ def core(p):
     ``{l, u}``.  Only the rows of those neighbours change, so only they are
     tested again.
     """
-    lower, upper = _cover_rows(p)
+    lower, upper = _lower_rows(p), _upper_rows(p)
     down = _single(lower, range(p.n))
     up = _single(upper, range(p.n))
     alive = p.full_mask

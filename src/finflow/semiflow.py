@@ -52,7 +52,10 @@ class Semiflow(MonotoneMap):
 
     def at(self, t):
         """State table at time ``t``: entry ``x`` is ``evaluate(t, x)``."""
-        return self.values if _positive(t) else tuple(range(self.poset.n))
+        if 0 < t < math.inf:
+            return self.values
+        _positive(t)  # raises unless t is zero
+        return tuple(range(self.poset.n))
 
     moves = MonotoneMap.as_moves
 
@@ -64,7 +67,7 @@ def _positive(t):
     return t != 0
 
 
-def _law_holds(zero, one, two):
+def _law_holds(identity, zero, one, two):
     """The semigroup law on the state tables at times 0, 1 and 2.
 
     A semiflow reads a time only through whether it is zero, so the four
@@ -72,11 +75,12 @@ def _law_holds(zero, one, two):
     times.  Each class composes the table at ``s`` after the table at ``t``
     with ``maps._compose`` and compares the result with the table at
     ``s + t``; idempotence is not assumed, so a hand-built flow that skipped
-    validation fails at s, t > 0.  When ``zero`` is the identity, the classes
-    with a zero time hold by the identity laws, so only ``(1, 1)`` is composed.
+    validation fails at s, t > 0.  When ``zero`` is the ``identity`` table,
+    the classes with a zero time hold by the identity laws, so only
+    ``(1, 1)`` is composed.
     """
     return (_compose(one, one) == two
-            and (zero == tuple(range(len(zero)))
+            and (zero == identity
                  or _compose(zero, zero) == zero
                  and _compose(zero, one) == one
                  and _compose(one, zero) == one))
@@ -290,7 +294,7 @@ def _law_checks(p, flows):
     for sf in flows:
         t0, t025, t05, t075, t1, t2, t3 = map(sf.at, _SAMPLE_TIMES)
         passed = []
-        law = law and _law_holds(t0, t1, t2)
+        law = law and _law_holds(xs, t0, t1, t2)
         for t in (t0, t075, t2):
             orbit = orbit and _below(within, passed, t, xs)
         fixed = fixed and _compose(t0, floor) == floor and _compose(t1, floor) == floor

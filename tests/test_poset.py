@@ -140,10 +140,12 @@ def test_up_sets_and_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
 
 
 def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
-    # Each element's cover search visits its down-set highest index first.
-    # On a chain in natural order the first row read holds the whole rest,
-    # so the build reads at most one row per element; visiting the lowest
-    # index first would read every row below each element, n(n-1)/2 in all.
+    # Each element's lower covers are the maximal members of its direct
+    # predecessors, visited highest index first.  On a chain each element
+    # has one predecessor, so the build reads one row per element in either
+    # label order; searching the whole down-set, as the validating
+    # constructor does, would read every row below each element on a
+    # top-first chain, n(n-1)/2 in all.
     reads = []
 
     class CountingRows(tuple):
@@ -158,6 +160,59 @@ def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
     c = families.chain(n)
     assert c.covers == tuple((i, i + 1) for i in range(n - 1))
     assert len(reads) <= 2 * n
+    reads.clear()
+    pairs = [(c.labels[a], c.labels[b]) for a, b in c.covers]
+    t = Poset.from_relations(c.labels[::-1], pairs)
+    assert t.covers == tuple((i, i - 1) for i in range(1, n))
+    assert len(reads) <= 2 * n
+
+
+def order_tables(p):
+    return p.labels, p._down, p._up, p.covers, p.heights, p._order
+
+
+def test_from_relations_matches_the_validating_constructor(corpus, shuffled_spaces):
+    rng = random.Random(23)
+    c = families.chain(1000)
+    spaces = [(p.labels, [(p.labels[a], p.labels[b]) for a, b in p.covers]) for p in corpus]
+    spaces += list(shuffled_spaces)
+    chain_pairs = [(c.labels[a], c.labels[b]) for a, b in c.covers]
+    spaces += [(c.labels, chain_pairs), (c.labels[::-1], chain_pairs)]
+    for labels, pairs in spaces:
+        p = Poset.from_relations(labels, pairs)
+        assert order_tables(p) == order_tables(Poset(p.labels, p._down))
+        if not pairs:
+            continue
+        # Repeated pairs and pairs implied by transitivity add direct
+        # predecessors that are not covers; the covers stay the maximal ones.
+        implied = []
+        for _ in range(min(20, p.n)):
+            b = rng.randrange(p.n)
+            below = elements_of(p.strict_down(b))
+            if below:
+                implied.append((p.labels[rng.choice(below)], p.labels[b]))
+        noisy = pairs + rng.choices(pairs, k=5) + implied
+        rng.shuffle(noisy)
+        assert order_tables(Poset.from_relations(labels, noisy)) == order_tables(p)
+    for p in corpus:
+        # every strict comparability given: each predecessor set is a whole down-set
+        strict = [(p.labels[a], p.labels[b]) for b in range(p.n)
+                  for a in elements_of(p.strict_down(b))]
+        rng.shuffle(strict)
+        assert order_tables(Poset.from_relations(p.labels, strict)) == order_tables(p)
+
+
+def test_induced_matches_the_validating_constructor(corpus, shuffled_spaces):
+    rng = random.Random(31)
+    spaces = corpus + [Poset.from_relations(*space) for space in shuffled_spaces[:20]]
+    spaces += [families.chain(200), top_first(families.chain(200))]
+    for p in spaces:
+        masks = [0, p.full_mask] + [rng.getrandbits(p.n) for _ in range(3)]
+        for mask in masks:
+            sub, old = p.induced(mask)
+            assert old == tuple(elements_of(mask))
+            rows = [mask_of(i for i, y in enumerate(old) if p.leq(y, x)) for x in old]
+            assert order_tables(sub) == order_tables(Poset([p.labels[x] for x in old], rows))
 
 
 def test_unknown_and_duplicate_labels():
