@@ -4,13 +4,13 @@ from .errors import ParseError, SchemaError, UnknownLabelError
 from .poset import Poset
 
 
-def _check_labels(names, error=ValueError):
-    """Raise ``error`` on the first name the text format cannot write back as one label."""
+def _label_error(names):
+    """The complaint about the first name the text format cannot write back, or None."""
     for name in names:
         if name.split() != [name] or "<" in name or "#" in name or name.startswith("elements:"):
             why = ("contain '<'" if "<" in name
                    else "be empty, hold a space or '#', or start 'elements:'")
-            raise error(f"element name {name!r} may not {why}")
+            return f"element name {name!r} may not {why}"
 
 
 def parse_poset_text(text):
@@ -21,39 +21,35 @@ def parse_poset_text(text):
     ignored.  Undeclared names are auto-registered in order of first
     appearance.  CycleError propagates from closure.
     """
-    labels = []
-    seen = set()
+    labels = {}  # the names in order of first appearance
     pairs = []
-
-    def register(name):
-        if name not in seen:
-            _check_labels([name], lambda msg: ParseError(lineno, msg))
-            seen.add(name)
-            labels.append(name)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("elements:"):
-            for name in line[len("elements:"):].split():
-                if name in seen:
-                    raise ParseError(lineno, f"element {name!r} declared twice")
-                register(name)
-            continue
-        parts = line.split("<")
-        if len(parts) != 2:
-            raise ParseError(lineno, "expected exactly one '<' per relation line")
-        a, b = parts[0].strip(), parts[1].strip()
-        register(a)
-        register(b)
-        pairs.append((a, b))
+        declaring = line.startswith("elements:")
+        if declaring:
+            names = line[len("elements:"):].split()
+        else:
+            parts = line.split("<")
+            if len(parts) != 2:
+                raise ParseError(lineno, "expected exactly one '<' per relation line")
+            names = parts[0].strip(), parts[1].strip()
+            pairs.append(names)
+        for name in names:
+            if name not in labels:
+                if msg := _label_error((name,)):
+                    raise ParseError(lineno, msg)
+                labels[name] = None
+            elif declaring:
+                raise ParseError(lineno, f"element {name!r} declared twice")
     return Poset.from_relations(labels, pairs)
 
 
 def write_poset_text(p):
     """Text form: an elements line plus one cover relation per line."""
-    _check_labels(p.labels)
+    if msg := _label_error(p.labels):
+        raise ValueError(msg)
     lines = []
     if p.n:
         lines.append("elements: " + " ".join(p.labels))
@@ -76,7 +72,8 @@ def parse_poset_json(text):
     relations = data.get("relations")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError("'elements' must be a list of names")
-    _check_labels(elements, SchemaError)
+    if msg := _label_error(elements):
+        raise SchemaError(msg)
     if not isinstance(relations, list):
         raise SchemaError("'relations' must be a list of [lesser, greater] pairs")
     pairs = []

@@ -58,16 +58,13 @@ class Poset:
     with the rows of its lower covers (else ValueError), none of which may
     contain it (else CycleError).  Those rows are then strictly smaller, so
     by induction on row size every row is closed and antisymmetric.
-    :meth:`from_relations` and :meth:`induced` build from an order already
-    known to be valid, so they hand their lower covers straight to the
-    shared table fill and skip that pass.
-
-    A poset stores its down-sets (``_down``, the minimal open sets), its
-    up-sets (``_up``, the closures), ``covers``, ``heights`` and the scan
-    order ``_order``; all but ``_down`` are filled from the lower covers.
+    :meth:`from_relations` and :meth:`induced` know their order is valid
+    and skip that pass.  A poset stores its down-sets (``_down``, the
+    minimal open sets), and ``covers``, ``heights`` and the scan order
+    ``_order``, all filled from the lower covers.
     """
 
-    __slots__ = ("n", "labels", "covers", "heights", "_down", "_up", "_index", "_order")
+    __slots__ = ("n", "labels", "covers", "heights", "_down", "_index", "_order")
 
     def __init__(self, labels, down_rows):
         labels = tuple(labels)
@@ -118,15 +115,9 @@ class Poset:
                     ht[x] = ht[a] + 1
         # scan order: by height, ties by index, so all below x comes before x
         self._order = tuple(sorted(range(n), key=ht.__getitem__))
-        # in reverse scan order every upper cover of b has pushed into up[b]
-        up = [1 << x for x in range(n)]
-        for b in reversed(self._order):
-            for a in lower[b]:
-                up[a] |= up[b]
         self.n = n
         self.labels = labels
         self._down = down
-        self._up = tuple(up)
         self._index = dict(zip(labels, range(n)))
         # the pairs come with b ascending, so a stable sort on a gives (a, b) order
         self.covers = tuple(sorted(((a, b) for b in range(n) for a in lower[b]),
@@ -235,28 +226,31 @@ class Poset:
         """Subposet on ``mask``.
 
         Returns ``(poset, old_indices)`` where ``old_indices[i]`` is the
-        original index of the new element ``i``; labels are retained.  The
-        kept points are visited in scan order, so the new rows of a point's
-        lower covers in the subposet (the maximal kept points strictly
-        below it) are ready when it comes up.
+        original index of the new element ``i``; labels are retained.  A
+        kept point's lower covers are the maximal kept points below it.
         """
+        down = self._down
+        lower = {o: _extremal(down, down[o] & mask ^ (1 << o)) for o in elements_of(mask)}
+        return self._restrict(mask, lower)
+
+    def _restrict(self, mask, lower):
+        """:meth:`induced` from ``lower[o]``, the mask of each kept point's lower covers in it.
+
+        Kept points come up in scan order, after their lower covers."""
         old = elements_of(mask)
         pos = {o: i for i, o in enumerate(old)}
-        rows = [0] * len(old)
-        lower = [()] * len(old)
+        rows, low = [0] * len(old), [()] * len(old)
         order = []
         for o in self._order:
-            bit = 1 << o
-            if mask & bit:
+            if mask >> o & 1:
                 i = pos[o]
-                lower[i] = low = [pos[a] for a in
-                                  elements_of(_extremal(self._down, self._down[o] & mask ^ bit))]
+                low[i] = covers = [pos[a] for a in elements_of(lower[o])]
                 row = 1 << i
-                for a in low:
+                for a in covers:
                     row |= rows[a]
                 rows[i] = row
                 order.append(i)
-        return Poset._from_lower([self.labels[o] for o in old], rows, lower, order), tuple(old)
+        return Poset._from_lower([self.labels[o] for o in old], rows, low, order), tuple(old)
 
     # -- value semantics ---------------------------------------------------
 

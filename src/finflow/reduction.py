@@ -1,27 +1,22 @@
 """Beat points, cores, and removal sequences.
 
 Following Stong (Trans. AMS 123, 1966), a down beat point is a point that
-covers exactly one point, so its strict down-set has that point as its
-maximum; an up beat point is one covered by exactly one point.  Deleting
-either leaves a strong deformation retract, and iterating deletions yields
-the core.  Each beat test reads per-point cover rows built from
-``Poset.covers``, only on the side it tests, and ``core`` keeps both sides
-live as it deletes.
+covers exactly one point and an up beat point one covered by exactly one
+point; deleting either leaves a strong deformation retract, and iterating
+deletions yields the core.  Every test here reads cover rows built from
+``Poset.covers``; ``core`` and ``validate_removal_sequence`` keep them live
+through one deletion step, ``_delete``.
 
-A removal sequence is a tuple of the deleted points in order; their heights
-come from the poset, and the sequences witness which points a semiflow can
-move.  Those points form one largest set, found by a single upward scan
-with the down-beat test as its only rule; the witness of a point is that
-set's part below it, in scan order.  The scan and the enumerator test
-subspaces that change by more than one point at a time, and they and
-``validate_removal_sequence`` need the cover point itself, not only whether
-one exists; so they use ``_down_cover``, a maximum search over the live
-strict down-set that reads down-set rows only, rather than the cover rows.
+A removal sequence is a tuple of the deleted points in order; the points
+such sequences end at are the points a semiflow can move.  One upward scan
+finds them all, and the witness of a point is their part below it.  The
+scan and the enumerator carry r(x) = max(F & down(x)) up the scan order
+and read each value off those of the lower covers (``_max_below``).
 """
 
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import elements_of
+from .poset import elements_of, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -41,6 +36,14 @@ class RemovalSequence(tuple):
 
     def __repr__(self):
         return f"RemovalSequence({tuple(self)!r})"
+
+
+def _lower_lists(p):
+    """Per-point lower covers, as ascending lists, from ``p.covers``."""
+    lists = [[] for _ in range(p.n)]
+    for a, b in p.covers:
+        lists[b].append(a)
+    return lists
 
 
 def _lower_rows(p):
@@ -68,23 +71,42 @@ def _single(rows, points):
     return m
 
 
-def _down_cover(p, x, alive):
-    """Maximum of the strict down-set of ``x`` within ``alive``, or None.
+def _max_below(down, value, covers):
+    """Maximum of F strictly below a point with lower ``covers``, or None.
 
-    The highest remaining candidate ``z`` is the maximum when its down-set
-    holds the whole live strict down-set; otherwise nothing under ``z`` is,
-    so its down-set leaves the candidates.  A maximum lies under no other
-    member, so it is never dropped that way.
+    ``value[c]`` must be max(F & down(c)) for each cover ``c``.  Their union
+    has a maximum exactly when one value lies above all the others, and the
+    running candidate, moved up to each value whose down-set holds it, ends on it.
     """
-    down = p._down
-    s = todo = down[x] & alive & ~(1 << x)
-    while todo:
-        z = todo.bit_length() - 1
-        row = down[z]
-        if s & ~row == 0:
-            return z
-        todo &= ~row
-    return None
+    if len(covers) < 2:
+        return value[covers[0]] if covers else None
+    top, seen = value[covers[0]], 0
+    for c in covers:
+        v = value[c]
+        seen |= 1 << v
+        if down[v] >> top & 1:
+            top = v
+    return top if seen & ~down[top] == 0 else None
+
+
+def _delete(p, lower, upper, x):
+    """Delete ``x`` from the live cover rows; returns its lower and upper covers.
+
+    A new cover ``l < u`` appears where no live upper cover of ``l`` lies at
+    or below ``u``; the upper covers of ``x`` form an antichain, so no link
+    made here decides another.
+    """
+    bit = 1 << x
+    below, above = elements_of(lower[x]), elements_of(upper[x])
+    for l in below:
+        upper[l] ^= bit
+    for u in above:
+        lower[u] ^= bit
+        for l in below:
+            if upper[l] & p._down[u] == 0:
+                lower[u] |= 1 << l
+                upper[l] |= 1 << u
+    return below, above
 
 
 def down_beat_points(p):
@@ -116,39 +138,21 @@ def core(p):
 
     The cover rows of the live subspace are kept as deletions go, and a
     point is a down (up) beat point while its lower (upper) row holds one
-    bit.  Deleting ``x`` keeps every cover that does not involve ``x`` and
-    clears ``x`` from its neighbours' rows.  A new cover ``l < u`` appears
-    only where ``x`` was all that lay between, so it links each lower cover
-    ``l`` of ``x`` to each upper cover ``u`` whose live interval is now
-    ``{l, u}``.  Only the rows of those neighbours change, so only they are
-    tested again.
+    bit.  Only the rows of a deleted point's neighbours change, so only
+    they are tested again, and the core is built from the live lower rows.
     """
     lower, upper = _lower_rows(p), _upper_rows(p)
-    down = _single(lower, range(p.n))
-    up = _single(upper, range(p.n))
-    alive = p.full_mask
+    down, up = _single(lower, range(p.n)), _single(upper, range(p.n))
     trace = []
     while beats := down | up:
         x = (beats & -beats).bit_length() - 1
-        bit = 1 << x
-        alive ^= bit
-        below, above = elements_of(lower[x]), elements_of(upper[x])
-        for l in below:
-            upper[l] ^= bit
-        for u in above:
-            lower[u] ^= bit
-            for l in below:
-                ends = (1 << l) | (1 << u)
-                if p._up[l] & p._down[u] & alive == ends:
-                    lower[u] |= 1 << l
-                    upper[l] |= 1 << u
-        down = down & ~(bit | upper[x]) | _single(lower, above)
-        up = up & ~(bit | lower[x]) | _single(upper, below)
+        below, above = _delete(p, lower, upper, x)
+        down = down & ~(1 << x | upper[x]) | _single(lower, above)
+        up = up & ~(1 << x | lower[x]) | _single(upper, below)
         trace.append(x)
     if not trace:
         return p, trace
-    sub, _ = p.induced(alive)
-    return sub, trace
+    return p._restrict(p.full_mask & ~mask_of(trace), lower)[0], trace
 
 
 def potential_down_beat_points(p, max_n=None):
@@ -156,14 +160,17 @@ def potential_down_beat_points(p, max_n=None):
 
     These are exactly the points some semiflow moves, and later removals may
     repeat a height.  One upward scan finds them: a point joins when it has
-    a down cover among the points that have not joined.  Everything below a
-    point comes before it in scan order, and whether it joins reads only
-    the points below it.
+    a down cover among the points that have not joined, and that cover is
+    then its value; a point that stays is its own.
     """
     check_size("removal search", p.n, SEARCH_LIMIT, max_n)
+    down, lower = p._down, _lower_lists(p)
+    value = list(range(p.n))
     pot = 0
     for y in p._order:
-        if _down_cover(p, y, p.full_mask & ~pot) is not None:
+        v = _max_below(down, value, lower[y])
+        if v is not None:
+            value[y] = v
             pot |= 1 << y
     return pot
 
@@ -193,7 +200,7 @@ def validate_removal_sequence(p, seq):
     """
     if len(seq) != len(set(seq)):
         raise InvalidSequenceError("sequence repeats a point")
-    alive = p.full_mask
+    lower, upper = _lower_rows(p), _upper_rows(p)
     floor = -1
     covers = []
     for step, x in enumerate(seq, start=1):
@@ -202,12 +209,11 @@ def validate_removal_sequence(p, seq):
         h = p.heights[x]
         if h < floor:
             raise InvalidSequenceError(f"heights must be nondecreasing (step {step})")
-        y = _down_cover(p, x, alive)
-        if y is None:
+        if lower[x].bit_count() != 1:
             raise InvalidSequenceError(
                 f"{p.labels[x]!r} is not a down beat point at step {step}")
-        covers.append(y)
-        alive &= ~(1 << x)
+        covers.append(lower[x].bit_length() - 1)
+        _delete(p, lower, upper, x)
         floor = h
     return covers
 

@@ -12,7 +12,8 @@ positive-time table.
 Such a map is determined by its fixed points F, as r(x) = max(F & down(x)),
 and F gives one exactly when each x outside F is a down beat point of F
 plus x, dropped to its down cover there.  The enumerator lists these sets
-with that test as its only rule; monotonicity and idempotence follow.
+with that test as its only rule, read off the values of x's lower covers
+(``reduction._max_below``); monotonicity and idempotence follow.
 
 The counting checks read the semiflows, the down beat points D and the
 potential down beat points R*; ``_census`` derives all four once per call
@@ -92,27 +93,28 @@ def _law_holds(identity, zero, one, two):
 def _tables(p):
     """Every semiflow value table on ``p``, one per fixed-point set.
 
-    Depth-first over the elements in scan order, so all that lies below an
-    element is decided when it comes up.  It is fixed first; dropping it to
-    its down cover among the fixed points is stacked when that cover exists.
+    Depth-first over the elements in scan order, so all below an element
+    is decided when it comes up and its lower covers' values give its down
+    cover among the fixed points.  It is fixed first; dropping it to that
+    cover is stacked when the cover exists.  A pop leaves all before it as
+    it was, so the value table is all the state there is.
     """
-    order = p._order
+    down, order = p._down, p._order
+    lower = reduction._lower_lists(p)
     values = list(range(p.n))
-    out = []
-    stack = []  # (k, fixed, x, y): x drops to y, then order[k:] is left
-    k = fixed = 0
+    out, stack = [], []  # stack: (k, x, y): x drops to y, then order[k:] is left
+    k = 0
     while True:
         for j in range(k, p.n):
             x = order[j]
-            y = reduction._down_cover(p, x, fixed)
+            y = reduction._max_below(down, values, lower[x])
             if y is not None:
-                stack.append((j + 1, fixed, x, y))
+                stack.append((j + 1, x, y))
             values[x] = x
-            fixed |= 1 << x
         out.append(tuple(values))
         if not stack:
             return out
-        k, fixed, x, y = stack.pop()
+        k, x, y = stack.pop()
         values[x] = y
 
 

@@ -143,8 +143,11 @@ def transposed(rows):
 
     On down-set rows this gives the up-sets, one bit at a time.
     """
-    n = len(rows)
-    return [mask_of(b for b in range(n) if (rows[b] >> a) & 1) for a in range(n)]
+    out = [0] * len(rows)
+    for b, row in enumerate(rows):
+        for a in elements_of(row):
+            out[a] |= 1 << b
+    return out
 
 
 def reference_covers(p):
@@ -402,7 +405,8 @@ def is_isomorphic(p, q, max_n=None):
     def profiles(r):
         n_lower = Counter(b for _, b in r.covers)
         n_upper = Counter(a for a, _ in r.covers)
-        return [(r.heights[x], r.down_set(x).bit_count(), r._up[x].bit_count(),
+        up = transposed(r._down)
+        return [(r.heights[x], r.down_set(x).bit_count(), up[x].bit_count(),
                  n_lower[x], n_upper[x]) for x in range(r.n)]
 
     pprof = profiles(p)
@@ -469,7 +473,7 @@ def monotone_self_maps(poset, limit=None):
 
 def _one_step_neighbours(poset, base):
     """Monotone maps comparable with ``base`` (one fence step away)."""
-    for rows in (poset._up, poset._down):
+    for rows in (transposed(poset._down), poset._down):
         for values in _monotone_tables(poset, [rows[v] for v in base]):
             v = tuple(values)
             if v != base:
@@ -487,7 +491,7 @@ def _monotone_tables(poset, allowed):
     """
     n = poset.n
     order = poset._order
-    up = poset._up
+    up = transposed(poset._down)
     lower = _lower_covers(poset)
     values = [0] * n
 

@@ -119,7 +119,7 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
         if p.n > 1:
             # one extra pair b < a with a <= b closes a cycle
             a = rng.randrange(p.n)
-            b = rng.choice(elements_of(p._up[a]))
+            b = rng.choice(elements_of(transposed(p._down)[a]))
             if a == b:
                 continue
             bad = pairs + [(labels[b], labels[a])]
@@ -129,13 +129,11 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
             assert_names_cycle(err, bad)
 
 
-def test_up_sets_and_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
-    # up-sets pushed down the lower covers are the transposed down-sets
+def test_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
     spaces = corpus + [Poset.from_relations(*space) for space in shuffled_spaces]
     # both orders of a long chain: bottom first as generated, and top first
     spaces += [families.chain(1000), top_first(families.chain(1000))]
     for p in spaces:
-        assert list(p._up) == transposed(p._down)
         assert p.covers == reference_covers(p)
 
 
@@ -168,7 +166,7 @@ def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
 
 
 def order_tables(p):
-    return p.labels, p._down, p._up, p.covers, p.heights, p._order
+    return p.labels, p._down, p.covers, p.heights, p._order
 
 
 def test_from_relations_matches_the_validating_constructor(corpus, shuffled_spaces):
@@ -269,7 +267,6 @@ def test_constructor_accepts_exactly_the_partial_orders():
         accepted += 1
         p = Poset(range(n), rows)
         assert p._down == tuple(rows)
-        assert list(p._up) == transposed(rows)
         assert p.covers == reference_covers(p)
         assert p.heights == reference_heights(p)
     assert 1000 < accepted < 2500
@@ -282,13 +279,6 @@ def test_down_set_examples():
     assert s.down_set(0) == 1
     c = families.chain(3)
     assert elements_of(c.down_set(2)) == [0, 1, 2]
-
-
-def test_up_set_examples():
-    p = families.example_3_1()
-    assert set(p.labels_of(p._up[p.index_of("E")])) == {"E", "D", "B", "C", "A"}
-    c = families.chain(3)
-    assert elements_of(c._up[0]) == [0, 1, 2]
 
 
 def test_heights_frozen_values():

@@ -13,7 +13,7 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
 
 from helpers import (brute_down_beats, brute_up_beats, disjoint_union, is_isomorphic,
                      reference_core, reference_movable, reference_removal_search,
-                     shuffled_relations, top_first)
+                     shuffled_relations, sphere_model, top_first)
 
 
 def labset(p, mask):
@@ -58,8 +58,9 @@ def test_minimality():
 
 
 def test_down_cover(corpus, shuffled_spaces):
+    # with every point fixed, each point's value is itself
     def down_cover(p, x):
-        return reduction._down_cover(p, x, p.full_mask)
+        return reduction._max_below(p._down, range(p.n), reduction._lower_lists(p)[x])
 
     p = families.example_3_1()
     assert p.labels[down_cover(p, p.index_of("B"))] == "D"
@@ -68,9 +69,9 @@ def test_down_cover(corpus, shuffled_spaces):
     assert down_cover(p, p.index_of("E")) is None  # minimal element
     assert down_cover(p, p.index_of("A")) is None  # two maximal elements below
 
-    # the definition: the live strict down-set's member whose down-set holds it all
-    def reference_cover(p, x, alive):
-        s = p.strict_down(x) & alive
+    # the definition: the member of F strictly below x whose down-set holds all of them
+    def reference_cover(p, x, fixed):
+        s = p.strict_down(x) & fixed
         return next((m for m in elements_of(s) if s & ~p.down_set(m) == 0), None)
 
     rng = random.Random(19)
@@ -79,12 +80,21 @@ def test_down_cover(corpus, shuffled_spaces):
     spaces += [chain, top_first(chain)]
     found = 0
     for p in spaces:
+        lower = reduction._lower_lists(p)
         for _ in range(3):
-            alive = rng.getrandbits(p.n) | rng.getrandbits(p.n)
-            for x in range(p.n):
-                want = reference_cover(p, x, alive)
-                assert reduction._down_cover(p, x, alive) == want
+            # A random F, joined in scan order by each point with no maximum
+            # of F strictly below it, so that every point's value, the
+            # maximum of F at or below it, exists when a point above reads it.
+            fixed = rng.getrandbits(p.n) | rng.getrandbits(p.n)
+            value = list(range(p.n))
+            for x in p._order:
+                want = reference_cover(p, x, fixed)
+                assert reduction._max_below(p._down, value, lower[x]) == want
                 found += want is not None
+                if want is None:
+                    fixed |= 1 << x
+                elif not fixed >> x & 1:
+                    value[x] = want
     assert found > 1000
 
 
@@ -154,6 +164,16 @@ def test_core_of_thousand_points():
         *shuffled_relations(families.random_poset(1000, 0.005, 3), rng))
     c, trace = core(sparse)
     assert (c.labels, trace) == reference_core(sparse)
+    # a pendant point under a 1000-point sphere model, labels top first: the
+    # pendant is the one beat point, and the core is the rest of the space
+    sphere = sphere_model(500)
+    pairs = [(sphere.labels[a], sphere.labels[b]) for a, b in sphere.covers]
+    p = top_first(Poset.from_relations(sphere.labels + ("pend",), pairs + [("pend", "s0a")]))
+    c, trace = core(p)
+    assert trace == [p.index_of("pend")]
+    sub, _ = p.induced(p.full_mask & ~(1 << trace[0]))
+    assert (c.labels, c._down, c.covers, c.heights, c._order) == \
+        (sub.labels, sub._down, sub.covers, sub.heights, sub._order)
 
 
 def test_core_without_beat_points_returns_the_space():
@@ -270,7 +290,7 @@ def test_retraction_from_sequence_examples():
 
 
 def test_witness_retractions_are_strong_deformation_retractions(corpus):
-    for p in corpus[:60]:
+    for p in corpus[:60] + [top_first(p) for p in corpus[:60]]:
         for x in elements_of(potential_down_beat_points(p)):
             seq = removal_sequence_for(p, x)
             r = retraction_from_sequence(p, seq)

@@ -16,7 +16,7 @@ from finflow.semiflow import (Semiflow, _census, _law_checks, _max_disjoint,
 
 from helpers import (disjoint_union, reference_law_checks, reference_movable,
                      reference_product_oracle, reference_semiflow_tables,
-                     shuffled_relations)
+                     shuffled_relations, top_first)
 
 # tables of zero, one and two entries; the floor of chain(2) is one point
 SMALL_SPACES = [families.antichain(0), families.chain(1), families.antichain(2), families.chain(2)]
@@ -259,18 +259,21 @@ def test_enumerator_matches_below_identity_listing():
     """Cross-check above the 10-point oracle guard, on 11-14 point inputs.
 
     chain(11) lists 58 786 maps below the identity; the random inputs are
-    kept when their listing stays within 20 000 maps.
+    kept when their listing stays within 20 000 maps.  Each input but the
+    chain also comes with its labels top first.
     """
     seven = families.chain(2)
     for _ in range(6):
         seven = disjoint_union(seven, families.chain(2))
+    x4 = families.realization_family(4)
     cases = [(p, reference_semiflow_tables(p, 60_000))
-             for p in (families.chain(11), families.realization_family(4), seven)]
+             for p in (families.chain(11), x4, seven, top_first(x4), top_first(seven))]
+    randoms = [p for p in families.random_corpus(200, 14, 1) if p.n >= 11]
     cases += [(p, reference_semiflow_tables(p, 20_000))
-              for p in families.random_corpus(200, 14, 1) if p.n >= 11]
+              for p in randoms + [top_first(p) for p in randoms]]
     cases = [(p, want) for p, want in cases if want is not None]
-    assert len(cases) == 3 + 39
-    assert len(cases[2][1]) == 2 ** 7
+    assert len(cases) == 5 + 2 * 39
+    assert len(cases[2][1]) == len(cases[4][1]) == 2 ** 7
     for p, want in cases:
         assert [sf.values for sf in enumerate_semiflows(p)] == want, p.labels
 
