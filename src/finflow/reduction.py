@@ -74,9 +74,9 @@ def _single(rows, points):
 def _max_below(down, value, covers):
     """Maximum of F strictly below a point with lower ``covers``, or None.
 
-    ``value[c]`` must be max(F & down(c)) for each cover ``c``.  Their union
-    has a maximum exactly when one value lies above all the others, and the
-    running candidate, moved up to each value whose down-set holds it, ends on it.
+    ``value[c]`` must be max(F & down(c)) for each cover ``c``.  F strictly below
+    the point, the union of those sets, has a maximum exactly when one value lies
+    above all the others; a candidate moved up to each value over it finds it.
     """
     if len(covers) < 2:
         return value[covers[0]] if covers else None
