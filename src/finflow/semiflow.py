@@ -18,11 +18,16 @@ with that test as its only rule, read off the values of x's lower covers
 The counting checks read the semiflows, the down beat points D and the
 potential down beat points R*; ``_census`` derives all four once per call
 for ``verify_counting_results``, ``full_verification`` and ``report.analyze``.
+Both the counting checks and the laws of ``full_verification`` read the
+flows point by point, many flows at once: the movable points off one row
+per point across all the flows, the laws off the columns of the state
+tables of a block of flows.
 """
 
 import itertools
 import math
 from collections import namedtuple
+from operator import itemgetter, ne
 
 from . import reduction
 from .errors import NegativeTimeError, check_size
@@ -234,16 +239,23 @@ def _counting_checks(p, flows, d_mask, pot_mask):
             "height_one_exact_count", True,
             "not applicable: potential points above height 1"))
 
-    moved = 0
+    # one row per point x, with byte i non-zero when flow i moves x
+    tables = [sf.values for sf in flows]
+    rows = [int.from_bytes(bytes(map(ne, map(itemgetter(x), tables), itertools.repeat(x))),
+                           "little") for x in range(p.n)]
+    moved = sum(1 << x for x, row in enumerate(rows) if row)
+    # (lowest bit, x) of the flows that move x, outside D, and no point of D below x
+    lone = []
+    for x in elements_of(moved & ~d_mask):
+        alone = rows[x]
+        for d in elements_of(p.strict_down(x) & d_mask):
+            alone &= ~rows[d]
+        if alone:
+            lone.append(((alone & -alone).bit_length(), x))
     bad = None
-    for sf in flows:
-        m = sf.moved_points()
-        moved |= m
-        if bad is None:
-            for x in elements_of(m & ~d_mask):
-                if p.strict_down(x) & d_mask & m == 0:
-                    bad = (sf, x)
-                    break
+    if lone:
+        bit, x = min(lone)
+        bad = (flows[bit // 8], x)
     ok = moved == pot_mask
     checks.append(BoundCheck(
         "movable_equals_potential", ok,
@@ -263,47 +275,80 @@ def _counting_checks(p, flows, d_mask, pot_mask):
 _SAMPLE_TIMES = (0, 0.25, 0.5, 0.75, 1, 2, 3.0)
 
 
-def _below(within, passed, later, earlier):
-    """Whether ``later <= earlier`` entrywise, by ``within`` on the entry pairs.
+# Flows per block in ``_law_checks``: the columns of one block are held at
+# once, so the block bounds the memory that the transposed tables take.
+_BLOCK = 512
 
-    Only a pair of unequal tables not in ``passed`` is tested; it joins if it holds.
+
+def _columns(table_lists):
+    """The columns ``zip(*tables)`` of each list of tables; equal lists share one."""
+    seen, out = [], []
+    for tables in table_lists:
+        for known, cols in seen:
+            if known == tables:
+                break
+        else:
+            cols = list(zip(*tables))
+            seen.append((tables, cols))
+        out.append(cols)
+    return out
+
+
+def _columns_below(downs, within, later, earlier):
+    """Whether each ``later`` column sits below its ``earlier`` column, point by point.
+
+    The same list passes by reflexivity.  Where the bound column is the
+    point x throughout, the later column is one subset test against the
+    down-set of x; elsewhere its ``(later, earlier)`` pairs are looked up in
+    the set of pairs ``y <= x``.
     """
-    if later == earlier or (later, earlier) in passed:
+    if later is earlier:
         return True
-    if within(zip(later, earlier)):
-        passed.append((later, earlier))
-        return True
-    return False
+    for x, (col, bound) in enumerate(zip(later, earlier)):
+        if bound.count(x) == len(bound):
+            if not downs[x].issuperset(col):
+                return False
+        elif not within(zip(col, bound)):
+            return False
+    return True
 
 
 def _law_checks(p, flows):
-    """The per-semiflow laws of ``full_verification``, one table per time.
+    """The per-semiflow laws of ``full_verification``, point by point over blocks of flows.
 
     Each flow is read once at each of the seven sample times through
-    ``Semiflow.at``, and each law is tested on that flow's tables by C-level
-    table operations: the semigroup and floor laws compose tables with
-    ``maps._compose``, and the orbit and monotonicity laws look every
-    ``(later state, bound)`` pair up in the set of pairs ``y <= x``.  Such a
-    containment is tested only when its ``(later, earlier)`` pair of tables
-    differs from every pair this flow has passed, and equal tables pass by
-    reflexivity, so a valid flow needs at most one subset test.  Nothing is
-    kept from one flow to the next but the five verdicts.
+    ``Semiflow.at``, as one list of tables per time for each block of
+    ``_BLOCK`` flows.  The semigroup law and non-bijectivity are tested on
+    each flow's tables: ``_law_holds``, and a count of the bijective time-1
+    tables against the identity tables among them.  The orbit, floor and
+    monotonicity laws are tested per point x on the columns of the block,
+    the states of its flows at x: a column below its bound by
+    ``_columns_below``, a floor column by counting x in it.  Equal lists of
+    tables share one list of columns, and each distinct pair of column
+    lists is tested once, so a block of valid flows is transposed at time
+    zero and at the positive times and takes one subset test per point.
     """
     xs = tuple(range(p.n))
-    floor = tuple(x for x in xs if p.heights[x] == 0)
-    within = {(y, x) for x in xs for y in elements_of(p.down_set(x))}.issuperset
+    floor = [x for x in xs if p.heights[x] == 0]
+    downs = [frozenset(elements_of(d)) for d in p._down]
+    within = {(y, x) for x in xs for y in downs[x]}.issuperset
     law = orbit = fixed = monotone = collapse = True
-    for sf in flows:
-        t0, t025, t05, t075, t1, t2, t3 = map(sf.at, _SAMPLE_TIMES)
-        passed = []
-        law = law and _law_holds(xs, t0, t1, t2)
-        for t in (t0, t075, t2):
-            orbit = orbit and _below(within, passed, t, xs)
-        fixed = fixed and _compose(t0, floor) == floor and _compose(t1, floor) == floor
-        for s, t in ((t0, t05), (t025, t1), (t0, t3)):
-            monotone = monotone and _below(within, passed, t, s)
-        # trivial (the identity) or not injective, so no flow over the reals
-        collapse = collapse and (t1 == xs or len(set(t1)) < p.n)
+    for i in range(0, len(flows), _BLOCK):
+        block = flows[i:i + _BLOCK]
+        tables = [[sf.at(t) for sf in block] for t in _SAMPLE_TIMES]
+        t0, t025, t05, t075, t1, t2, t3 = tables
+        law = law and all(map(_law_holds, itertools.repeat(xs), t0, t1, t2))
+        # trivial (the identity) or not injective, so no flow over the reals:
+        # every bijective time-1 table is an identity table
+        collapse = collapse and list(map(len, map(set, t1))).count(p.n) == t1.count(xs)
+        ident, c0, c025, c05, c075, c1, c2, c3 = _columns([[xs] * len(block), *tables])
+        fixed = fixed and all(c[x].count(x) == len(block) for c in (c0, c1) for x in floor)
+        orbit_pairs = ((c0, ident), (c075, ident), (c2, ident))
+        monotone_pairs = ((c05, c0), (c1, c025), (c3, c0))
+        pairs = {(id(l), id(e)): (l, e) for l, e in (*orbit_pairs, *monotone_pairs)}
+        below = {key: _columns_below(downs, within, *pair) for key, pair in pairs.items()}
+        orbit = orbit and all(below[id(l), id(e)] for l, e in orbit_pairs)
+        monotone = monotone and all(below[id(l), id(e)] for l, e in monotone_pairs)
     return [
         BoundCheck("semigroup_law", law, f"{len(flows)} semiflows x 4 time classes"),
         BoundCheck("orbit_containment", orbit,

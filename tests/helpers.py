@@ -294,6 +294,69 @@ def reference_law_checks(p, flows):
     return checks
 
 
+def reference_counting_checks(p, flows):
+    """The six counting checks of ``verify_counting_results``, point by point.
+
+    Reads each flow through ``Semiflow.evaluate(1, x)`` and the order
+    through ``p.leq``; D comes from ``brute_down_beats``, R* from
+    ``reference_removal_search`` and the antichain A from the first family
+    of pairwise disjoint down-sets in ``combinations`` order at the largest
+    size, so it shares no code with ``semiflow._counting_checks``.
+    """
+    from finflow.semiflow import BoundCheck
+
+    def labels(points):
+        return [p.labels[x] for x in sorted(points)]
+
+    s_f = len(flows)
+    down = brute_down_beats(p)
+    pot = set(reference_removal_search(p))
+    checks = [
+        BoundCheck("d_empty_iff_single_semiflow", (not down) == (s_f == 1),
+                   f"|D|={len(down)}, s_f={s_f}"),
+        BoundCheck("count_at_least_two_pow_down_beats", s_f >= 2 ** len(down),
+                   f"s_f={s_f} vs 2^{len(down)}={2 ** len(down)}"),
+    ]
+
+    def disjoint(a, b):
+        return not any(p.leq(z, a) and p.leq(z, b) for z in range(p.n))
+
+    antichain = ()
+    for size in range(1, len(pot) + 1):
+        family = next((c for c in combinations(sorted(pot), size)
+                       if all(disjoint(a, b) for a, b in combinations(c, 2))), None)
+        if family is None:
+            break
+        antichain = family
+    k = len(antichain)
+    checks.append(BoundCheck(
+        "count_at_least_two_pow_antichain", s_f >= 2 ** k,
+        f"s_f={s_f} vs 2^{k}={2 ** k} (A={labels(antichain)})"))
+
+    if all(p.heights[x] == 1 for x in pot):
+        checks.append(BoundCheck("height_one_exact_count", s_f == 2 ** len(pot),
+                                 f"s_f={s_f} vs 2^{len(pot)}={2 ** len(pot)}"))
+    else:
+        checks.append(BoundCheck("height_one_exact_count", True,
+                                 "not applicable: potential points above height 1"))
+
+    movable = {x for sf in flows for x in range(p.n) if sf.evaluate(1, x) != x}
+    checks.append(BoundCheck(
+        "movable_equals_potential", movable == pot,
+        f"movable={labels(movable)} potential={labels(pot)}"))
+
+    detail = "every moved non-down-beat sits above a moved down beat point"
+    lone = next(((sf, x) for sf in flows for x in range(p.n)
+                 if sf.evaluate(1, x) != x and x not in down
+                 and not any(d != x and p.leq(d, x) and sf.evaluate(1, d) != d for d in down)),
+                None)
+    if lone is not None:
+        sf, x = lone
+        detail = f"semiflow {sf.moves()!r} moves {p.labels[x]!r} alone"
+    checks.append(BoundCheck("moved_nondown_forces_moved_down_below", lone is None, detail))
+    return checks
+
+
 def reference_product_oracle(p):
     """Idempotent monotone tables in the product of down-sets, from the definitions.
 

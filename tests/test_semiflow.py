@@ -10,12 +10,12 @@ from finflow.formats import parse_poset_text
 from finflow.maps import MonotoneMap
 from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import down_beat_points, potential_down_beat_points
-from finflow.semiflow import (Semiflow, _census, _law_checks, _max_disjoint,
+from finflow.semiflow import (_BLOCK, Semiflow, _census, _law_checks, _max_disjoint,
                               brute_force_oracle, enumerate_semiflows,
                               full_verification, verify_counting_results)
 
-from helpers import (disjoint_union, reference_law_checks, reference_movable,
-                     reference_product_oracle, reference_semiflow_tables,
+from helpers import (disjoint_union, reference_counting_checks, reference_law_checks,
+                     reference_movable, reference_product_oracle, reference_semiflow_tables,
                      shuffled_relations, top_first)
 
 # tables of zero, one and two entries; the floor of chain(2) is one point
@@ -120,7 +120,9 @@ class OneTimeOff(Semiflow):
         return self.at(t)[x]
 
 
-@pytest.mark.parametrize("time, table, fails", [
+# (time, table, fails): a chain(3) flow whose table is ``table`` at ``time`` only,
+# and the laws that it breaks
+LAW_CASES = [
     (0.75, (1, 1, 2), "orbit_containment"),  # 0 goes up, only at 0.75
     (3.0, (0, 2, 2), "time_monotone"),  # 1 goes up, only at 3.0
     (0, (0, 0, 1), "semigroup_law time_monotone"),  # time 0 is not the identity
@@ -132,7 +134,10 @@ class OneTimeOff(Semiflow):
     (2, (1, 1, 2), "semigroup_law orbit_containment"),  # 0 goes up, only at 2
     # a bijection at time 1 only: the collapse law reads the time-1 states
     (1, (1, 2, 0), "semigroup_law floor_fixed time_monotone flow_triviality_nonbijective"),
-])
+]
+
+
+@pytest.mark.parametrize("time, table, fails", LAW_CASES)
 def test_law_checks_read_every_sample_time(time, table, fails):
     """One flow off at one sample time, alone, first and last among valid flows.
 
@@ -147,6 +152,25 @@ def test_law_checks_read_every_sample_time(time, table, fails):
             checks = _law_checks(c3, flows)
             assert checks == reference_law_checks(c3, flows)
             assert {c.name for c in checks if not c.satisfied} == set(fails.split())
+
+
+@pytest.mark.parametrize("k, position", enumerate([0, _BLOCK - 1, _BLOCK, None]))
+def test_law_checks_at_block_boundaries(k, position):
+    """One flow off at one sample time, at either side of a block boundary or last.
+
+    The valid flows fill more than two blocks of ``_law_checks``; each
+    position ``k`` runs every fourth case of ``LAW_CASES`` from the ``k``-th,
+    so the four positions share the ten cases between them.
+    """
+    c3 = families.chain(3)
+    valid = enumerate_semiflows(c3) * (_BLOCK // 2 + 1)
+    for time, table, fails in LAW_CASES[k::4]:
+        flows = list(valid)
+        flows.insert(len(flows) if position is None else position,
+                     OneTimeOff(c3, (0, 0, 2), time, table))
+        checks = _law_checks(c3, flows)
+        assert checks == reference_law_checks(c3, flows)
+        assert {c.name for c in checks if not c.satisfied} == set(fails.split())
 
 
 def law_holds(p, flows, name):
@@ -311,6 +335,49 @@ def test_movable_points():
     assert reference_movable(families.pseudo_circle()) == 0
     assert verify_counting_results(p)[4] == (
         "movable_equals_potential", True, "movable=['A', 'B', 'C'] potential=['A', 'B', 'C']")
+
+
+def test_counting_checks_match_reference(corpus_flows):
+    spaces = [*SMALL_SPACES, families.chain(14)]
+    for p, flows in [*corpus_flows, *((p, enumerate_semiflows(p)) for p in spaces)]:
+        assert verify_counting_results(p, flows=flows) == reference_counting_checks(p, flows)
+
+
+def test_counting_checks_catch_broken_flows():
+    """Hand-built tables that move a point outside R*, or a non-down-beat point alone.
+
+    Each sits alone, first, last and just past the first block of valid
+    flows that fill more than two blocks; the first offending flow and its
+    lowest offending point are named.
+    """
+    v = Poset.from_relations(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    ex31 = families.example_3_1()
+    assert ex31.labels == ("A", "B", "C", "D", "E", "F")
+    cases = [
+        # c, above a and b, goes to a: c is not in R* and D is empty
+        (v, [(0, 1, 0)], "c"),
+        # A goes to B alone, then A goes to C alone: B and C, in D below A, stay
+        (ex31, [(1, 1, 2, 3, 4, 5), (2, 1, 2, 3, 4, 5)], "A"),
+        # the bottom of a 3-chain goes up: it is outside R* and has nothing below
+        (families.chain(3), [(1, 1, 2)], "c0"),
+        # both points of an antichain swap: the lower one is named
+        (families.antichain(2), [(1, 0)], "a0"),
+        # the first flow moves the higher point, the later one the lower
+        (families.antichain(2), [(0, 0), (1, 1)], "a1"),
+    ]
+    failed = set()
+    for p, tables, label in cases:
+        broken = [Semiflow._trusted(p, values) for values in tables]
+        valid = enumerate_semiflows(p)
+        valid = valid * (2 * _BLOCK // len(valid) + 1)
+        for flows in (broken, [*broken, *valid], [*valid, *broken],
+                      [*valid[:_BLOCK + 3], broken[0], *valid[_BLOCK + 3:], *broken[1:]]):
+            checks = verify_counting_results(p, flows=flows)
+            assert checks == reference_counting_checks(p, flows)
+            assert checks[5] == ("moved_nondown_forces_moved_down_below", False,
+                                 f"semiflow {broken[0].moves()!r} moves {label!r} alone")
+            failed |= {c.name for c in checks[4:] if not c.satisfied}
+    assert failed == {"movable_equals_potential", "moved_nondown_forces_moved_down_below"}
 
 
 def test_height_zero_points_never_move(corpus_flows):
