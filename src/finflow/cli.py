@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".json"):
         return formats.parse_poset_json(text)

@@ -20,9 +20,10 @@ def is_monotone(poset, values):
 
     Checking cover pairs suffices: comparabilities compose along covers.
     """
-    for a, b in poset.covers:
-        if not poset.leq(values[a], values[b]):
-            return False
+    for b, below in enumerate(poset._lower):
+        for a in below:
+            if not poset.leq(values[a], values[b]):
+                return False
     return True
 
 

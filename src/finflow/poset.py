@@ -60,11 +60,12 @@ class Poset:
     by induction on row size every row is closed and antisymmetric.
     :meth:`from_relations` and :meth:`induced` know their order is valid
     and skip that pass.  A poset stores its down-sets (``_down``, the
-    minimal open sets), and ``covers``, ``heights`` and the scan order
-    ``_order``, all filled from the lower covers.
+    minimal open sets), its lower covers (``_lower``, one ascending tuple
+    per point), and the ``heights`` and scan order ``_order`` filled from
+    them; the cover pairs ``covers`` are built when read.
     """
 
-    __slots__ = ("n", "labels", "covers", "heights", "_down", "_index", "_order")
+    __slots__ = ("n", "labels", "heights", "_down", "_lower", "_index", "_order")
 
     def __init__(self, labels, down_rows):
         labels = tuple(labels)
@@ -119,9 +120,7 @@ class Poset:
         self.labels = labels
         self._down = down
         self._index = dict(zip(labels, range(n)))
-        # the pairs come with b ascending, so a stable sort on a gives (a, b) order
-        self.covers = tuple(sorted(((a, b) for b in range(n) for a in lower[b]),
-                                   key=itemgetter(0)))
+        self._lower = tuple(map(tuple, lower))
         self.heights = tuple(ht)
 
     @classmethod
@@ -214,6 +213,13 @@ class Poset:
 
     def strict_down(self, x):
         return self._down[x] & ~(1 << x)
+
+    @property
+    def covers(self):
+        """The cover pairs ``(a, b)``, ``a`` covered by ``b``, in ascending order."""
+        # the pairs come with b ascending, so a stable sort on a gives (a, b) order
+        return tuple(sorted(((a, b) for b, below in enumerate(self._lower) for a in below),
+                            key=itemgetter(0)))
 
     @property
     def height(self):

@@ -3,9 +3,9 @@
 Following Stong (Trans. AMS 123, 1966), a down beat point is a point that
 covers exactly one point and an up beat point one covered by exactly one
 point; deleting either leaves a strong deformation retract, and iterating
-deletions yields the core.  Every test here reads cover rows built from
-``Poset.covers``; ``core`` and ``validate_removal_sequence`` keep them live
-through one deletion step, ``_delete``.
+deletions yields the core.  Every test here reads the lower covers the
+poset stores (``Poset._lower``); ``core`` and ``validate_removal_sequence``
+keep them live as cover rows through one deletion step, ``_delete``.
 
 A removal sequence is a tuple of the deleted points in order; the points
 such sequences end at are the points a semiflow can move.  One upward scan
@@ -38,27 +38,12 @@ class RemovalSequence(tuple):
         return f"RemovalSequence({tuple(self)!r})"
 
 
-def _lower_lists(p):
-    """Per-point lower covers, as ascending lists, from ``p.covers``."""
-    lists = [[] for _ in range(p.n)]
-    for a, b in p.covers:
-        lists[b].append(a)
-    return lists
-
-
-def _lower_rows(p):
-    """Per-point lower cover rows, as bitmasks, from ``p.covers``."""
-    rows = [0] * p.n
-    for a, b in p.covers:
-        rows[b] |= 1 << a
-    return rows
-
-
 def _upper_rows(p):
-    """Per-point upper cover rows, as bitmasks, from ``p.covers``."""
+    """Per-point upper cover rows, as bitmasks, from the lower covers."""
     rows = [0] * p.n
-    for a, b in p.covers:
-        rows[a] |= 1 << b
+    for b, below in enumerate(p._lower):
+        for a in below:
+            rows[a] |= 1 << b
     return rows
 
 
@@ -111,7 +96,7 @@ def _delete(p, lower, upper, x):
 
 def down_beat_points(p):
     """Points that cover exactly one point."""
-    return _single(_lower_rows(p), range(p.n))
+    return mask_of(x for x, below in enumerate(p._lower) if len(below) == 1)
 
 
 def up_beat_points(p):
@@ -141,7 +126,7 @@ def core(p):
     bit.  Only the rows of a deleted point's neighbours change, so only
     they are tested again, and the core is built from the live lower rows.
     """
-    lower, upper = _lower_rows(p), _upper_rows(p)
+    lower, upper = list(map(mask_of, p._lower)), _upper_rows(p)
     down, up = _single(lower, range(p.n)), _single(upper, range(p.n))
     trace = []
     while beats := down | up:
@@ -164,7 +149,7 @@ def potential_down_beat_points(p, max_n=None):
     then its value; a point that stays is its own.
     """
     check_size("removal search", p.n, SEARCH_LIMIT, max_n)
-    down, lower = p._down, _lower_lists(p)
+    down, lower = p._down, p._lower
     value = list(range(p.n))
     pot = 0
     for y in p._order:
@@ -200,7 +185,7 @@ def validate_removal_sequence(p, seq):
     """
     if len(seq) != len(set(seq)):
         raise InvalidSequenceError("sequence repeats a point")
-    lower, upper = _lower_rows(p), _upper_rows(p)
+    lower, upper = list(map(mask_of, p._lower)), _upper_rows(p)
     floor = -1
     covers = []
     for step, x in enumerate(seq, start=1):

@@ -104,8 +104,7 @@ def _tables(p):
     cover is stacked when the cover exists.  A pop leaves all before it as
     it was, so the value table is all the state there is.
     """
-    down, order = p._down, p._order
-    lower = reduction._lower_lists(p)
+    down, order, lower = p._down, p._order, p._lower
     values = list(range(p.n))
     out, stack = [], []  # stack: (k, x, y): x drops to y, then order[k:] is left
     k = 0
@@ -294,13 +293,13 @@ def _columns(table_lists):
     return out
 
 
-def _columns_below(downs, within, later, earlier):
+def _columns_below(downs, later, earlier):
     """Whether each ``later`` column sits below its ``earlier`` column, point by point.
 
     The same list passes by reflexivity.  Where the bound column is the
     point x throughout, the later column is one subset test against the
-    down-set of x; elsewhere its ``(later, earlier)`` pairs are looked up in
-    the set of pairs ``y <= x``.
+    down-set of x; elsewhere each later state is looked up in the down-set
+    of its bound.
     """
     if later is earlier:
         return True
@@ -308,7 +307,7 @@ def _columns_below(downs, within, later, earlier):
         if bound.count(x) == len(bound):
             if not downs[x].issuperset(col):
                 return False
-        elif not within(zip(col, bound)):
+        elif not all(y in downs[b] for y, b in zip(col, bound)):
             return False
     return True
 
@@ -331,7 +330,6 @@ def _law_checks(p, flows):
     xs = tuple(range(p.n))
     floor = [x for x in xs if p.heights[x] == 0]
     downs = [frozenset(elements_of(d)) for d in p._down]
-    within = {(y, x) for x in xs for y in downs[x]}.issuperset
     law = orbit = fixed = monotone = collapse = True
     for i in range(0, len(flows), _BLOCK):
         block = flows[i:i + _BLOCK]
@@ -346,7 +344,7 @@ def _law_checks(p, flows):
         orbit_pairs = ((c0, ident), (c075, ident), (c2, ident))
         monotone_pairs = ((c05, c0), (c1, c025), (c3, c0))
         pairs = {(id(l), id(e)): (l, e) for l, e in (*orbit_pairs, *monotone_pairs)}
-        below = {key: _columns_below(downs, within, *pair) for key, pair in pairs.items()}
+        below = {key: _columns_below(downs, *pair) for key, pair in pairs.items()}
         orbit = orbit and all(below[id(l), id(e)] for l, e in orbit_pairs)
         monotone = monotone and all(below[id(l), id(e)] for l, e in monotone_pairs)
     return [

@@ -35,6 +35,22 @@ def test_validate_cyclic_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("header.txt", "elements: a b\na < b\n"),
+    ("bare.txt", "a < b\n"),
+    ("space.json", '{"elements": ["a", "b"], "relations": [["a", "b"]]}'),
+])
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, name, text):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert run(capsys, "validate", str(marked)) == run(capsys, "validate", str(plain)) == \
+        (0, "ok: 2 elements, 1 cover relations, height 1\n", "")
+    code, out, _ = run(capsys, "analyze", str(marked))
+    assert code == 0 and "\ufeff" not in out
+    assert out.startswith("elements (2): a b\ncovers: a<b\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.txt")
     assert code == 1 and err

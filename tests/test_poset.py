@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from finflow import families, poset
+from finflow import families, poset, reduction
 from finflow.errors import CycleError, SizeLimitError, UnknownLabelError
 from finflow.poset import Poset, elements_of, mask_of
 
@@ -133,8 +133,17 @@ def test_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
     spaces = corpus + [Poset.from_relations(*space) for space in shuffled_spaces]
     # both orders of a long chain: bottom first as generated, and top first
     spaces += [families.chain(1000), top_first(families.chain(1000))]
+    # a core is built through Poset._restrict, from the live cover rows
+    spaces += [reduction.core(p)[0] for p in spaces]
     for p in spaces:
-        assert p.covers == reference_covers(p)
+        ref = reference_covers(p)
+        assert p.covers == ref
+        # the stored form: each point's lower covers, one ascending tuple,
+        # which the pairs, sorted on a first, list in that order
+        below = [[] for _ in range(p.n)]
+        for a, b in ref:
+            below[b].append(a)
+        assert p._lower == tuple(map(tuple, below))
 
 
 def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):

@@ -60,7 +60,7 @@ def test_minimality():
 def test_down_cover(corpus, shuffled_spaces):
     # with every point fixed, each point's value is itself
     def down_cover(p, x):
-        return reduction._max_below(p._down, range(p.n), reduction._lower_lists(p)[x])
+        return reduction._max_below(p._down, range(p.n), p._lower[x])
 
     p = families.example_3_1()
     assert p.labels[down_cover(p, p.index_of("B"))] == "D"
@@ -80,7 +80,6 @@ def test_down_cover(corpus, shuffled_spaces):
     spaces += [chain, top_first(chain)]
     found = 0
     for p in spaces:
-        lower = reduction._lower_lists(p)
         for _ in range(3):
             # A random F, joined in scan order by each point with no maximum
             # of F strictly below it, so that every point's value, the
@@ -89,7 +88,7 @@ def test_down_cover(corpus, shuffled_spaces):
             value = list(range(p.n))
             for x in p._order:
                 want = reference_cover(p, x, fixed)
-                assert reduction._max_below(p._down, value, lower[x]) == want
+                assert reduction._max_below(p._down, value, p._lower[x]) == want
                 found += want is not None
                 if want is None:
                     fixed |= 1 << x
