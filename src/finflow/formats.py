@@ -11,6 +11,25 @@ def _label_error(names):
             why = ("contain '<'" if "<" in name
                    else "be empty, hold a space or '#', or start 'elements:'")
             return f"element name {name!r} may not {why}"
+        if not name.isascii() and name != name.encode(errors="replace").decode():
+            return f"element name {name!r} may not hold a lone surrogate"
+
+
+def _decode_json(text):
+    """The value of JSON ``text``; every failure to decode it is a SchemaError."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(f"invalid JSON: {exc}") from None
+
+
+def _encode_json(data):
+    """JSON text of ``data``: two-space indent and one final newline."""
+    import json
+
+    return json.dumps(data, indent=2) + "\n"
 
 
 def parse_poset_text(text):
@@ -60,12 +79,7 @@ def write_poset_text(p):
 
 def parse_poset_json(text):
     """Parse ``{"elements": [...], "relations": [[lesser, greater], ...]}``."""
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
+    data = _decode_json(text)
     if not isinstance(data, dict):
         raise SchemaError("top level must be an object")
     elements = data.get("elements")
@@ -89,13 +103,10 @@ def parse_poset_json(text):
 
 
 def write_poset_json(p):
-    import json
-
-    data = {
+    return _encode_json({
         "elements": list(p.labels),
         "relations": [[p.labels[a], p.labels[b]] for a, b in p.covers],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    })
 
 
 def _q(label):

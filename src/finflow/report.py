@@ -1,6 +1,6 @@
 """Aggregated analysis results with lossless JSON round-tripping."""
 
-from . import reduction, semiflow
+from . import formats, reduction, semiflow
 from .errors import SchemaError
 from .poset import elements_of
 
@@ -52,18 +52,11 @@ class AnalysisReport:
         return cls(**{k: v for k, v in data.items() if k in cls.__slots__})
 
     def to_json(self):
-        import json
-
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return formats._encode_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text):
-        import json
-
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from None
+        return cls.from_dict(formats._decode_json(text))
 
 
 def analyze(p, max_n=None):

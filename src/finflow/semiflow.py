@@ -53,24 +53,18 @@ class Semiflow(MonotoneMap):
             raise ValueError("semiflow map must be idempotent and below the identity")
 
     def evaluate(self, t, x):
-        """State reached from ``x`` after time ``t``."""
-        return self.values[x] if _positive(t) else x
+        """State reached from ``x`` after time ``t``: entry ``x`` of ``at(t)``."""
+        return self.at(t)[x]
 
     def at(self, t):
-        """State table at time ``t``: entry ``x`` is ``evaluate(t, x)``."""
+        """State table at time ``t``, the one time rule: identity at zero, ``values`` after."""
         if 0 < t < math.inf:
             return self.values
-        _positive(t)  # raises unless t is zero
-        return tuple(range(self.poset.n))
+        if t == 0:
+            return tuple(range(self.poset.n))
+        raise NegativeTimeError("time must be a finite non-negative number")
 
     moves = MonotoneMap.as_moves
-
-
-def _positive(t):
-    """Whether time ``t`` is past zero; the only thing a semiflow reads of it."""
-    if not 0 <= t < math.inf:
-        raise NegativeTimeError("time must be a finite non-negative number")
-    return t != 0
 
 
 def _law_holds(identity, zero, one, two):

@@ -51,6 +51,23 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, name, text):
     assert out.startswith("elements (2): a b\ncovers: a<b\n")
 
 
+def test_json_nested_past_the_recursion_limit_exits_one(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"elements": ' + "[" * 5000 + "]" * 5000 + "}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["verify"], ["dot"],
+                                  ["semiflows", "--list"]])
+def test_lone_surrogate_name_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"elements": ["a", "\\ud800"], "relations": [["a", "\\ud800"]]}')
+    assert run(capsys, *argv, str(path)) == \
+        (1, "", "error: element name '\\ud800' may not hold a lone surrogate\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.txt")
     assert code == 1 and err

@@ -115,6 +115,36 @@ def test_labels_the_text_format_cannot_write_are_rejected(label):
         write_poset_text(Poset.from_relations([label, "z"], [(label, "z")]))
 
 
+def test_names_with_a_lone_surrogate_are_rejected():
+    # a JSON escape can name half of a surrogate pair, which no UTF-8 file
+    # can hold; the complaint escapes it, so it can be printed
+    data = '{"elements": ["a", "\\ud800"], "relations": [["a", "\\ud800"]]}'
+    with pytest.raises(SchemaError) as info:
+        parse_poset_json(data)
+    assert str(info.value) == "element name '\\ud800' may not hold a lone surrogate"
+    with pytest.raises(ValueError, match="lone surrogate"):
+        write_poset_text(Poset.from_relations(["a", "\ud800"], [("a", "\ud800")]))
+    # a whole pair is one character, and other non-ASCII names pass too
+    p = parse_poset_json('{"elements": ["\\ud835\\udd3d", "\u00e9"], "relations": []}')
+    assert p.labels == ("\U0001d53d", "\u00e9")
+    assert parse_poset_text(write_poset_text(p)) == p
+
+
+def test_json_nested_past_the_recursion_limit_is_a_schema_error():
+    # 5000 levels pass the default recursion limit at any stack depth
+    with pytest.raises(SchemaError, match="^invalid JSON: maximum recursion depth"):
+        parse_poset_json('{"elements": ' + "[" * 5000 + "]" * 5000 + "}")
+    with pytest.raises(SchemaError, match="^invalid JSON: maximum recursion depth"):
+        AnalysisReport.from_json("[" * 5000 + "]" * 5000)
+
+
+def test_json_integer_past_the_digit_limit_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^invalid JSON: .*4300 digits"):
+        parse_poset_json('{"elements": [' + "1" * 5000 + "]}")
+    with pytest.raises(SchemaError, match="^invalid JSON: .*4300 digits"):
+        AnalysisReport.from_json("1" * 5000)
+
+
 def test_text_reader_applies_the_label_rule():
     with pytest.raises(ParseError, match="may not contain '<'"):
         parse_poset_text("elements: a b<c\n")

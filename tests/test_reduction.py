@@ -13,7 +13,7 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
 
 from helpers import (brute_down_beats, brute_up_beats, disjoint_union, is_isomorphic,
                      reference_core, reference_movable, reference_removal_search,
-                     shuffled_relations, sphere_model, top_first)
+                     shuffled_relations, sphere_model, top_first, transposed)
 
 
 def labset(p, mask):
@@ -173,6 +173,25 @@ def test_core_of_thousand_points():
     sub, _ = p.induced(p.full_mask & ~(1 << trace[0]))
     assert (c.labels, c._down, c.covers, c.heights, c._order) == \
         (sub.labels, sub._down, sub.covers, sub.heights, sub._order)
+
+
+def test_beats_and_core_are_dual(corpus, shuffled_spaces):
+    """p and its opposite p^op, whose rows are the transposed rows of p.
+
+    Reversing the order swaps down and up beat points, and ``core`` always
+    deletes the lowest-index beat point, so both spaces give one trace, one
+    set of core labels and transposed core rows.  The up side of p is read
+    through the down side of p^op, exactly and at any size.
+    """
+    chain = families.chain(1000)
+    spaces = list(corpus) + [Poset.from_relations(*s) for s in shuffled_spaces]
+    for p in spaces + [chain, top_first(chain)]:
+        op = Poset(p.labels, transposed(p._down))
+        assert up_beat_points(p) == down_beat_points(op)
+        assert down_beat_points(p) == up_beat_points(op)
+        (c, trace), (c_op, trace_op) = core(p), core(op)
+        assert (trace, c.labels) == (trace_op, c_op.labels)
+        assert transposed(c._down) == list(c_op._down)
 
 
 def test_core_without_beat_points_returns_the_space():
