@@ -5,14 +5,17 @@ from .poset import Poset
 
 
 def _label_error(names):
-    """The complaint about the first name the text format cannot write back, or None."""
+    """The complaint about the first name the text format cannot write back or print, or None."""
     for name in names:
         if name.split() != [name] or "<" in name or "#" in name or name.startswith("elements:"):
             why = ("contain '<'" if "<" in name
                    else "be empty, hold a space or '#', or start 'elements:'")
             return f"element name {name!r} may not {why}"
-        if not name.isascii() and name != name.encode(errors="replace").decode():
-            return f"element name {name!r} may not hold a lone surrogate"
+        if not name.isprintable():
+            if any(c <= "\x1f" or "\x7f" <= c <= "\x9f" for c in name):
+                return f"element name {name!r} may not hold a control character"
+            if name != name.encode(errors="replace").decode():
+                return f"element name {name!r} may not hold a lone surrogate"
 
 
 def _decode_json(text):

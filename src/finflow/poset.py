@@ -49,6 +49,35 @@ def _extremal(down, mask):
     return mask & ~dominated
 
 
+def _upper_rows(p):
+    """Per-point upper cover rows, as bitmasks, from the lower covers."""
+    rows = [0] * p.n
+    for b, below in enumerate(p._lower):
+        for a in below:
+            rows[a] |= 1 << b
+    return rows
+
+
+def _delete(p, lower, upper, x):
+    """Delete ``x`` from the live cover rows; returns its lower and upper covers.
+
+    A new cover ``l < u`` appears where no live upper cover of ``l`` lies at
+    or below ``u``; the upper covers of ``x`` form an antichain, so no link
+    made here decides another.
+    """
+    bit = 1 << x
+    below, above = elements_of(lower[x]), elements_of(upper[x])
+    for l in below:
+        upper[l] ^= bit
+    for u in above:
+        lower[u] ^= bit
+        for l in below:
+            if upper[l] & p._down[u] == 0:
+                lower[u] |= 1 << l
+                upper[l] |= 1 << u
+    return below, above
+
+
 class Poset:
     """Immutable finite poset over labelled elements.
 
@@ -232,11 +261,12 @@ class Poset:
         """Subposet on ``mask``.
 
         Returns ``(poset, old_indices)`` where ``old_indices[i]`` is the
-        original index of the new element ``i``; labels are retained.  A
-        kept point's lower covers are the maximal kept points below it.
+        original index of the new element ``i``; labels are retained.  The
+        points outside ``mask`` are deleted from the cover rows one by one.
         """
-        down = self._down
-        lower = {o: _extremal(down, down[o] & mask ^ (1 << o)) for o in elements_of(mask)}
+        lower, upper = list(map(mask_of, self._lower)), _upper_rows(self)
+        for x in elements_of(self.full_mask & ~mask):
+            _delete(self, lower, upper, x)
         return self._restrict(mask, lower)
 
     def _restrict(self, mask, lower):

@@ -5,18 +5,19 @@ covers exactly one point and an up beat point one covered by exactly one
 point; deleting either leaves a strong deformation retract, and iterating
 deletions yields the core.  Every test here reads the lower covers the
 poset stores (``Poset._lower``); ``core`` and ``validate_removal_sequence``
-keep them live as cover rows through one deletion step, ``_delete``.
+keep them live as cover rows through ``poset._delete``, as ``induced`` does.
 
 A removal sequence is a tuple of the deleted points in order; the points
-such sequences end at are the points a semiflow can move.  One upward scan
-finds them all, and the witness of a point is their part below it.  The
-scan and the enumerator carry r(x) = max(F & down(x)) up the scan order
-and read each value off those of the lower covers (``_max_below``).
+such sequences end at are the points a semiflow can move: those the first
+table of the one semiflow search, ``_tables``, moves.  The witness of a
+point is their part below it.  The search carries r(x) = max(F & down(x))
+up the scan order and reads each value off those of the lower covers
+(``_max_below``).
 """
 
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import elements_of, mask_of
+from .poset import _delete, _upper_rows, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -36,15 +37,6 @@ class RemovalSequence(tuple):
 
     def __repr__(self):
         return f"RemovalSequence({tuple(self)!r})"
-
-
-def _upper_rows(p):
-    """Per-point upper cover rows, as bitmasks, from the lower covers."""
-    rows = [0] * p.n
-    for b, below in enumerate(p._lower):
-        for a in below:
-            rows[a] |= 1 << b
-    return rows
 
 
 def _single(rows, points):
@@ -74,24 +66,32 @@ def _max_below(down, value, covers):
     return top if seen & ~down[top] == 0 else None
 
 
-def _delete(p, lower, upper, x):
-    """Delete ``x`` from the live cover rows; returns its lower and upper covers.
+def _tables(p):
+    """Every semiflow value table on ``p``, one per fixed-point set.
 
-    A new cover ``l < u`` appears where no live upper cover of ``l`` lies at
-    or below ``u``; the upper covers of ``x`` form an antichain, so no link
-    made here decides another.
+    Depth-first over the elements in scan order, so all below an element
+    is decided when it comes up and its lower covers' values give its down
+    cover among the fixed points.  It drops to that cover when the cover
+    exists, and staying fixed is stacked; so the first table drops every
+    point that can.  A pop leaves all before it as it was, so the value
+    table is all the state there is.
     """
-    bit = 1 << x
-    below, above = elements_of(lower[x]), elements_of(upper[x])
-    for l in below:
-        upper[l] ^= bit
-    for u in above:
-        lower[u] ^= bit
-        for l in below:
-            if upper[l] & p._down[u] == 0:
-                lower[u] |= 1 << l
-                upper[l] |= 1 << u
-    return below, above
+    down, order, lower = p._down, p._order, p._lower
+    values = list(range(p.n))
+    stack = []  # (k, x): x stays fixed, then order[k:] is left
+    k = 0
+    while True:
+        for j in range(k, p.n):
+            x = order[j]
+            y = _max_below(down, values, lower[x])
+            if y is not None:
+                stack.append((j + 1, x))
+            values[x] = x if y is None else y
+        yield tuple(values)
+        if not stack:
+            return
+        k, x = stack.pop()
+        values[x] = x
 
 
 def down_beat_points(p):
@@ -144,20 +144,12 @@ def potential_down_beat_points(p, max_n=None):
     """Points removable by some height-ordered sequence of down-beat deletions.
 
     These are exactly the points some semiflow moves, and later removals may
-    repeat a height.  One upward scan finds them: a point joins when it has
-    a down cover among the points that have not joined, and that cover is
-    then its value; a point that stays is its own.
+    repeat a height.  They are the points the first table of ``_tables``
+    moves: each point drops to its down cover among the points that stay
+    whenever it has one.
     """
     check_size("removal search", p.n, SEARCH_LIMIT, max_n)
-    down, lower = p._down, p._lower
-    value = list(range(p.n))
-    pot = 0
-    for y in p._order:
-        v = _max_below(down, value, lower[y])
-        if v is not None:
-            value[y] = v
-            pot |= 1 << y
-    return pot
+    return mask_of(x for x, y in enumerate(next(_tables(p))) if x != y)
 
 
 def _witness(p, pot, x):

@@ -13,7 +13,7 @@ Such a map is determined by its fixed points F, as r(x) = max(F & down(x)),
 and F gives one exactly when each x outside F is a down beat point of F
 plus x, dropped to its down cover there.  The enumerator lists these sets
 with that test as its only rule, read off the values of x's lower covers
-(``reduction._max_below``); monotonicity and idempotence follow.
+(``reduction._tables``); monotonicity and idempotence follow.
 
 The counting checks read the semiflows, the down beat points D and the
 potential down beat points R*; ``_census`` derives all four once per call
@@ -89,33 +89,6 @@ def _law_holds(identity, zero, one, two):
 # -- enumeration ------------------------------------------------------------
 
 
-def _tables(p):
-    """Every semiflow value table on ``p``, one per fixed-point set.
-
-    Depth-first over the elements in scan order, so all below an element
-    is decided when it comes up and its lower covers' values give its down
-    cover among the fixed points.  It is fixed first; dropping it to that
-    cover is stacked when the cover exists.  A pop leaves all before it as
-    it was, so the value table is all the state there is.
-    """
-    down, order, lower = p._down, p._order, p._lower
-    values = list(range(p.n))
-    out, stack = [], []  # stack: (k, x, y): x drops to y, then order[k:] is left
-    k = 0
-    while True:
-        for j in range(k, p.n):
-            x = order[j]
-            y = reduction._max_below(down, values, lower[x])
-            if y is not None:
-                stack.append((j + 1, x, y))
-            values[x] = x
-        out.append(tuple(values))
-        if not stack:
-            return out
-        k, x, y = stack.pop()
-        values[x] = y
-
-
 def enumerate_semiflows(p, max_n=None):
     """Every semiflow on ``p``, canonically ordered.
 
@@ -123,7 +96,7 @@ def enumerate_semiflows(p, max_n=None):
     the trivial one included, sorted lexicographically by value table.
     """
     check_size("semiflow enumeration", p.n, ENUMERATION_LIMIT, max_n)
-    return [Semiflow._trusted(p, v) for v in sorted(_tables(p))]
+    return [Semiflow._trusted(p, v) for v in sorted(reduction._tables(p))]
 
 
 def brute_force_oracle(p, max_n=None):
@@ -249,6 +222,7 @@ def _counting_checks(p, flows, d_mask, pot_mask):
     if lone:
         bit, x = min(lone)
         bad = (flows[bit // 8], x)
+    # R* is what the search's first, greedy flow moves, so no flow may move more
     ok = moved == pot_mask
     checks.append(BoundCheck(
         "movable_equals_potential", ok,

@@ -232,6 +232,19 @@ def top_first(p):
     return Poset.from_relations(p.labels[::-1], pairs)
 
 
+def reference_subposet(p, mask):
+    """``(subposet, old indices)`` on ``mask``, built by the validating constructor.
+
+    The rows are read off ``p.leq`` one pair at a time, so nothing here
+    shares code with the deletion step behind ``Poset.induced`` and ``core``.
+    """
+    from finflow.poset import Poset
+
+    old = elements_of(mask)
+    rows = [mask_of(i for i, y in enumerate(old) if p.leq(y, x)) for x in old]
+    return Poset([p.labels[x] for x in old], rows), tuple(old)
+
+
 def sphere_model(k):
     """Minimal finite model of the (k-1)-sphere: k two-point antichains stacked."""
     from finflow.poset import Poset

@@ -68,6 +68,20 @@ def test_lone_surrogate_name_exits_one(capsys, tmp_path, argv):
         (1, "", "error: element name '\\ud800' may not hold a lone surrogate\n")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["dot"], ["semiflows", "--list"]])
+@pytest.mark.parametrize("name, data", [
+    ("nul.txt", b"a\x00b < c\n"),
+    ("esc.json", b'{"elements": ["\\u001b[31m"], "relations": []}'),
+])
+def test_control_character_name_exits_one(capsys, tmp_path, argv, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" may not hold a control character\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.txt")
     assert code == 1 and err
@@ -97,6 +111,13 @@ def test_semiflows_list_and_oracle(capsys, ex31_file):
     assert lines[0] == "0: id"
     assert len(lines) == 7
     assert any("A->D" in line for line in lines)
+
+
+def test_semiflows_oracle_disagreement_exits_two(capsys, monkeypatch, ex31_file):
+    real = semiflow.brute_force_oracle
+    monkeypatch.setattr(semiflow, "brute_force_oracle", lambda p, max_n=None: real(p)[1:])
+    assert run(capsys, "semiflows", ex31_file, "--oracle") == \
+        (2, "", "error: enumerator and brute-force oracle disagree\n")
 
 
 def test_semiflows_json_input(capsys, tmp_path):
@@ -192,11 +213,18 @@ def test_semiflow_count_on_large_antichain(capsys, tmp_path):
     assert out == "1 (0 non-trivial)\n"
 
 
-def test_random_suite(capsys):
+def test_random_suite(capsys, monkeypatch):
     code, out, _ = run(capsys, "random-suite", "--count", "12", "--max-n", "7", "--seed", "3")
     assert code == 0
     assert "12/12 posets verified" in out
-
+    # each failed check of each poset is one line on stderr
+    monkeypatch.setattr(semiflow, "full_verification",
+                        lambda p, max_n=None: [BoundCheck("made_up", False, "broken")])
+    code, out, err = run(capsys, "random-suite", "--count", "2", "--max-n", "3")
+    assert (code, out) == (2, "0/2 posets verified\n")
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("FAIL poset ") for line in lines)
+    assert lines[0].startswith("FAIL poset 0 (") and lines[0].endswith(" made_up: broken")
 
 
 def test_random_suite_warns_once_about_the_limit(capsys):
@@ -245,3 +273,5 @@ def test_random_suite_rejects_bad_sizes(capsys, argv):
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1 and err
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: finflow ") and err == ""

@@ -100,6 +100,8 @@ def test_json_schema_errors():
         parse_poset_json('{"elements": ["a"], "relations": [["a", "b"]]}')
     with pytest.raises(SchemaError):
         parse_poset_json('{"elements": ["a"], "relations": ["a<b"]}')
+    with pytest.raises(SchemaError, match="^'relations' must be a list of "):
+        parse_poset_json('{"elements": ["a"], "relations": {}}')
     with pytest.raises(CycleError):
         parse_poset_json('{"elements": ["a", "b"], "relations": [["a","b"],["b","a"]]}')
 
@@ -127,6 +129,30 @@ def test_names_with_a_lone_surrogate_are_rejected():
     # a whole pair is one character, and other non-ASCII names pass too
     p = parse_poset_json('{"elements": ["\\ud835\\udd3d", "\u00e9"], "relations": []}')
     assert p.labels == ("\U0001d53d", "\u00e9")
+    assert parse_poset_text(write_poset_text(p)) == p
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "\x1b[31mred", "del\x7f", "c1\x9b", "\x80"])
+def test_names_with_a_control_character_are_rejected(name):
+    # a C0 or C1 control character would reach a terminal or a DOT file raw
+    message = f"element name {name!r} may not hold a control character"
+    with pytest.raises(ParseError) as info:
+        parse_poset_text(f"{name} < c\n")
+    assert str(info.value) == f"line 1: {message}"
+    with pytest.raises(SchemaError) as info:
+        parse_poset_json(json.dumps({"elements": [name, "c"], "relations": []}))
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        write_poset_text(Poset.from_relations([name, "c"], [(name, "c")]))
+    assert str(info.value) == message
+
+
+def test_whitespace_controls_keep_the_whitespace_complaint():
+    for name in ["a\tb", "a\x1cb", "a\x1fb", "a\x85b", "\x0b"]:
+        with pytest.raises(SchemaError, match="may not be empty, hold a space"):
+            parse_poset_json(json.dumps({"elements": [name], "relations": []}))
+    # unprintable names that hold no control character still pass
+    p = parse_poset_json('{"elements": ["a\u200bb", "\u00ad"], "relations": []}')
     assert parse_poset_text(write_poset_text(p)) == p
 
 
@@ -199,6 +225,10 @@ def test_report_schema_guard():
         AnalysisReport.from_dict(data)
     with pytest.raises(SchemaError):
         AnalysisReport.from_json("{}")
+    with pytest.raises(SchemaError, match="^report must be an object$"):
+        AnalysisReport.from_dict([])
+    with pytest.raises(SchemaError, match="^report is missing fields: "):
+        AnalysisReport.from_dict({"schema": 1})
 
 
 def test_report_witnesses_are_valid():

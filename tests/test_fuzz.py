@@ -5,9 +5,10 @@ mutates the bytes and runs every reading command on the file through
 ``run_cli``.  The contract: each call returns 0, 1 or 3 and raises
 nothing; a clean exit writes nothing to stderr and an error exactly one
 ``error:`` line; a file that ``validate`` accepts is accepted by the other
-commands too, up to the enumeration guard; and a case run again prints the
-same bytes.  Output goes to strict UTF-8 streams, as on a terminal, so a
-name that cannot be written fails here as it would there.
+commands too, up to the enumeration guard; a clean exit prints no control
+character but the newline; and a case run again prints the same bytes.
+Output goes to strict UTF-8 streams, as on a terminal, so a name that
+cannot be written fails here as it would there.
 """
 
 import io
@@ -123,6 +124,9 @@ def _contract_breaches(argv, result, accepted):
     elif code and not (err.startswith(b"error:") and err.count(b"\n") == 1
                        and err.endswith(b"\n")):
         breaches.append(f"exit {code} with stderr {err!r}")
+    controls = [c for c in out.decode() if c <= "\x1f" and c != "\n" or "\x7f" <= c <= "\x9f"]
+    if code == 0 and controls:
+        breaches.append(f"exit 0 with a control character in stdout {out!r}")
     # ``accepted`` is the point count when ``validate`` accepts the file
     if accepted is not None and "--semiflow" not in argv and not (
             code == 0 or code == 3 and argv[0] != "dot" and accepted > ENUMERATION_LIMIT):

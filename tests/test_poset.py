@@ -9,8 +9,8 @@ from finflow.poset import Poset, elements_of, mask_of
 
 from helpers import (brute_height, brute_lower_sets, is_isomorphic, reference_covers,
                      reference_down_rows, reference_heights, reference_is_isomorphic,
-                     reference_is_order, shuffled_relations, top_first,
-                     transposed)
+                     reference_is_order, reference_subposet, shuffled_relations,
+                     top_first, transposed)
 
 EX31_COVERS = {("B", "A"), ("C", "A"), ("D", "B"), ("D", "C"), ("E", "D"), ("F", "D")}
 
@@ -217,14 +217,16 @@ def test_induced_matches_the_validating_constructor(corpus, shuffled_spaces):
         masks = [0, p.full_mask] + [rng.getrandbits(p.n) for _ in range(3)]
         for mask in masks:
             sub, old = p.induced(mask)
-            assert old == tuple(elements_of(mask))
-            rows = [mask_of(i for i, y in enumerate(old) if p.leq(y, x)) for x in old]
-            assert order_tables(sub) == order_tables(Poset([p.labels[x] for x in old], rows))
+            ref, ref_old = reference_subposet(p, mask)
+            assert old == ref_old == tuple(elements_of(mask))
+            assert order_tables(sub) == order_tables(ref)
 
 
 def test_unknown_and_duplicate_labels():
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError, match="unknown label 'b'"):
         Poset.from_relations(["a"], [("a", "b")])
+    with pytest.raises(UnknownLabelError, match="unknown label 'x'"):
+        Poset.from_relations(["a"], [("x", "a")])
     with pytest.raises(ValueError):
         Poset.from_relations(["a", "a"], [])
     p = families.chain(2)

@@ -13,7 +13,7 @@ from finflow.reduction import (RemovalSequence, beat_points, core,
 
 from helpers import (brute_down_beats, brute_up_beats, disjoint_union, is_isomorphic,
                      reference_core, reference_movable, reference_removal_search,
-                     shuffled_relations, sphere_model, top_first, transposed)
+                     reference_subposet, shuffled_relations, sphere_model, top_first, transposed)
 
 
 def labset(p, mask):
@@ -127,7 +127,7 @@ def test_core_unique_up_to_isomorphism(corpus):
     def core_highest_first(p):
         alive = p.full_mask
         while True:
-            sub, old = p.induced(alive)
+            sub, old = reference_subposet(p, alive)
             beats = brute_down_beats(sub) | brute_up_beats(sub)
             if not beats:
                 return sub
@@ -170,7 +170,7 @@ def test_core_of_thousand_points():
     p = top_first(Poset.from_relations(sphere.labels + ("pend",), pairs + [("pend", "s0a")]))
     c, trace = core(p)
     assert trace == [p.index_of("pend")]
-    sub, _ = p.induced(p.full_mask & ~(1 << trace[0]))
+    sub, _ = reference_subposet(p, p.full_mask & ~(1 << trace[0]))
     assert (c.labels, c._down, c.covers, c.heights, c._order) == \
         (sub.labels, sub._down, sub.covers, sub.heights, sub._order)
 
@@ -201,22 +201,23 @@ def test_core_without_beat_points_returns_the_space():
 
 
 def test_core_tests_only_the_neighbours_of_removed_points(monkeypatch):
-    # A deletion lists the live covers of the deleted point, at least one
-    # since it is a beat point, and tests only those neighbours again; on
-    # these inputs that stays within 3n listed points.  Listing every live
-    # point after each deletion would take about n per deletion.
-    listed = []
-    real = reduction.elements_of
-    monkeypatch.setattr(reduction, "elements_of",
-                        lambda mask: listed.extend(real(mask)) or real(mask))
+    # After one first test of every point in each direction, a deletion
+    # tests only the live covers of the deleted point again, at least one
+    # since it is a beat point; on these inputs that stays within 3n tested
+    # points.  Testing every live point after each deletion would take
+    # about n per deletion.
+    tested = []
+    real = reduction._single
+    monkeypatch.setattr(reduction, "_single",
+                        lambda rows, points: real(rows, tested.extend(points) or points))
     rng = random.Random(300)
     sparse = Poset.from_relations(
         *shuffled_relations(families.random_poset(300, 0.02, 11), rng))
     for p in (families.chain(300), sparse):
-        listed.clear()
+        tested.clear()
         _, trace = core(p)
         assert len(trace) > 50
-        assert len(trace) <= len(listed) <= 3 * p.n
+        assert len(trace) <= len(tested) - 2 * p.n <= 3 * p.n
 
 
 def test_potential_down_beat_points_examples():
@@ -289,6 +290,8 @@ def test_validate_removal_sequence_errors():
     validate_removal_sequence(c3, RemovalSequence((2,)))
     with pytest.raises(InvalidSequenceError, match=r"nondecreasing \(step 2\)"):
         validate_removal_sequence(c3, RemovalSequence((2, 1)))  # heights 2, then 1
+    with pytest.raises(InvalidSequenceError, match="^index 5 out of range$"):
+        validate_removal_sequence(c3, (5,))
 
 
 def test_retraction_from_sequence_examples():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from finflow import families, reduction, report
+from finflow import families, reduction, report, semiflow
 from finflow.errors import NegativeTimeError, SizeLimitError
 from finflow.formats import parse_poset_text
 from finflow.maps import MonotoneMap
@@ -446,6 +446,22 @@ def test_full_verification_all_pass():
               families.random_poset(7, 0.45, 1234), *SMALL_SPACES):
         checks = full_verification(p)
         assert all(c.satisfied for c in checks), [c for c in checks if not c.satisfied]
+
+
+@pytest.mark.parametrize("module, name, broken, failed, detail", [
+    # an empty sequence gives the identity, which moves no potential point
+    (reduction, "_witness", lambda p, pot, x: reduction.RemovalSequence(()),
+     "potential_witness_retractions",
+     "witness sequences yield strong deformation retractions moving the endpoint"),
+    (semiflow, "brute_force_oracle", lambda p: brute_force_oracle(p)[1:],
+     "oracle_agreement", "enumerator=7 maps, oracle=6 maps"),
+], ids=["witness", "oracle"])
+def test_cross_checks_fail_on_a_broken_reference(monkeypatch, module, name, broken, failed,
+                                                 detail):
+    monkeypatch.setattr(module, name, broken)
+    checks = {c.name: c for c in full_verification(families.example_3_1())}
+    assert checks.pop(failed) == (failed, False, detail)
+    assert all(c.satisfied for c in checks.values())
 
 
 def test_time_monotonicity(corpus_flows):
