@@ -3,6 +3,10 @@
 from .errors import ParseError, SchemaError, UnknownLabelError
 from .poset import Poset
 
+# Unicode's Bidi_Control set: each one reorders the rest of a terminal line
+_BIDI_CONTROLS = frozenset("\u061c\u200e\u200f\u202a\u202b\u202c\u202d\u202e"
+                           "\u2066\u2067\u2068\u2069")
+
 
 def _label_error(names):
     """The complaint about the first name the text format cannot write back or print, or None."""
@@ -16,6 +20,8 @@ def _label_error(names):
                 return f"element name {name!r} may not hold a control character"
             if name != name.encode(errors="replace").decode():
                 return f"element name {name!r} may not hold a lone surrogate"
+            if not _BIDI_CONTROLS.isdisjoint(name):
+                return f"element name {name!r} may not hold a bidirectional control character"
 
 
 def _decode_json(text):
@@ -41,9 +47,10 @@ def parse_poset_text(text):
     Grammar: optional ``elements: a b c`` declaration lines, one strict
     relation ``a < b`` per line, ``#`` starts a comment, blank lines are
     ignored.  Undeclared names are auto-registered in order of first
-    appearance.  CycleError propagates from closure.
+    appearance; a name may be declared once, before or after its first use.
+    CycleError propagates from closure.
     """
-    labels = {}  # the names in order of first appearance
+    labels = {}  # each name, in order of first appearance: whether a line declared it
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,9 +69,11 @@ def parse_poset_text(text):
             if name not in labels:
                 if msg := _label_error((name,)):
                     raise ParseError(lineno, msg)
-                labels[name] = None
+                labels[name] = declaring
             elif declaring:
-                raise ParseError(lineno, f"element {name!r} declared twice")
+                if labels[name]:
+                    raise ParseError(lineno, f"element {name!r} declared twice")
+                labels[name] = True
     return Poset.from_relations(labels, pairs)
 
 

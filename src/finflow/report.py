@@ -1,5 +1,7 @@
 """Aggregated analysis results with lossless JSON round-tripping."""
 
+from collections import namedtuple
+
 from . import formats, reduction, semiflow
 from .errors import SchemaError
 from .poset import elements_of
@@ -7,38 +9,24 @@ from .poset import elements_of
 SCHEMA_VERSION = 1
 
 
-class AnalysisReport:
+class AnalysisReport(namedtuple(
+        "AnalysisReport",
+        "labels covers heights down_beat_points up_beat_points is_minimal core_labels"
+        " core_trace potential_points s_f nontrivial_semiflows bounds_checked schema",
+        defaults=(SCHEMA_VERSION,))):
     """Everything the analyzer knows about one space, in JSON-able form.
 
-    Fields are set by keyword or position, may be reassigned, and are
-    compared one by one.  Semiflow maps are listed in canonical
-    (lexicographic value table) order with identity entries omitted.
+    A named tuple like ``BoundCheck``: fields are set by keyword or
+    position and compared one by one.  Semiflow maps are listed in
+    canonical (lexicographic value table) order with identity entries
+    omitted.
     """
 
-    __slots__ = ("labels", "covers", "heights", "down_beat_points", "up_beat_points",
-                 "is_minimal", "core_labels", "core_trace", "potential_points", "s_f",
-                 "nontrivial_semiflows", "bounds_checked", "schema")
-
-    def __init__(self, labels, covers, heights, down_beat_points, up_beat_points,
-                 is_minimal, core_labels, core_trace, potential_points, s_f,
-                 nontrivial_semiflows, bounds_checked, schema=SCHEMA_VERSION):
-        values = (labels, covers, heights, down_beat_points, up_beat_points,
-                  is_minimal, core_labels, core_trace, potential_points, s_f,
-                  nontrivial_semiflows, bounds_checked, schema)
-        for name, value in zip(self.__slots__, values):
-            setattr(self, name, value)
-
-    def __eq__(self, other):
-        if not isinstance(other, AnalysisReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self):
-        return f"AnalysisReport({', '.join(f'{k}={v!r}' for k, v in self.to_dict().items())})"
+    __slots__ = ()
 
     def to_dict(self):
         """The fields by name; nested lists are shared, not copied."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data):
@@ -46,10 +34,10 @@ class AnalysisReport:
             raise SchemaError("report must be an object")
         if data.get("schema") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema: {data.get('schema')!r}")
-        missing = set(cls.__slots__) - data.keys()
+        missing = set(cls._fields) - data.keys()
         if missing:
             raise SchemaError(f"report is missing fields: {sorted(missing)}")
-        return cls(**{k: v for k, v in data.items() if k in cls.__slots__})
+        return cls(**{k: v for k, v in data.items() if k in cls._fields})
 
     def to_json(self):
         return formats._encode_json(self.to_dict())
@@ -75,10 +63,9 @@ def analyze(p, max_n=None):
         core_trace=[p.labels[x] for x in trace],
         potential_points=[
             {"point": p.labels[x],
-             "witness": [p.labels[i] for i in reduction._witness(p, pot, x).points]}
+             "witness": [p.labels[i] for i in reduction._witness(p, pot, x)]}
             for x in elements_of(pot)],
         s_f=len(flows),
         nontrivial_semiflows=[m for m in (sf.moves() for sf in flows) if m],
-        bounds_checked=[{"name": c.name, "satisfied": c.satisfied, "detail": c.detail}
-                        for c in checks],
+        bounds_checked=[c._asdict() for c in checks],
     )

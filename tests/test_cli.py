@@ -82,6 +82,20 @@ def test_control_character_name_exits_one(capsys, tmp_path, argv, name, data):
     assert err.endswith(" may not hold a control character\n")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"], ["dot"]])
+@pytest.mark.parametrize("name, data", [
+    ("rlo.txt", "a\u202eb < c\n".encode()),
+    ("rlo.json", b'{"elements": ["a\\u202eb"], "relations": []}'),
+])
+def test_bidirectional_control_name_exits_one(capsys, tmp_path, argv, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("element name 'a\\u202eb' may not hold a bidirectional control character\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.txt")
     assert code == 1 and err

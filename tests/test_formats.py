@@ -47,6 +47,16 @@ mid < hi  # top step
     assert p.height == 2
 
 
+def test_a_name_is_declared_once_before_or_after_its_first_use():
+    p = parse_poset_text("a < b\nelements: a b c\n")
+    assert p.labels == ("a", "b", "c") and len(p.covers) == 1
+    for text, lineno in [("elements: a a\n", 1), ("elements: a\nelements: b a\n", 2),
+                         ("a < b\nelements: a\nelements: a\n", 3)]:
+        with pytest.raises(ParseError) as info:
+            parse_poset_text(text)
+        assert str(info.value) == f"line {lineno}: element 'a' declared twice"
+
+
 def test_parse_text_empty_and_errors():
     assert parse_poset_text("").n == 0
     with pytest.raises(CycleError):
@@ -145,6 +155,24 @@ def test_names_with_a_control_character_are_rejected(name):
     with pytest.raises(ValueError) as info:
         write_poset_text(Poset.from_relations([name, "c"], [(name, "c")]))
     assert str(info.value) == message
+
+
+def test_names_with_a_bidirectional_control_are_rejected():
+    # each of Unicode's twelve Bidi_Control characters reorders the rest of
+    # a terminal line
+    for c in "\u061c\u200e\u200f\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069":
+        name = f"a{c}b"
+        message = f"element name {name!r} may not hold a bidirectional control character"
+        assert c not in message
+        with pytest.raises(ParseError) as info:
+            parse_poset_text(f"{name} < c\n")
+        assert str(info.value) == f"line 1: {message}"
+        with pytest.raises(SchemaError) as info:
+            parse_poset_json(json.dumps({"elements": [name, "c"], "relations": []}))
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            write_poset_text(Poset.from_relations([name, "c"], [(name, "c")]))
+        assert str(info.value) == message
 
 
 def test_whitespace_controls_keep_the_whitespace_complaint():

@@ -6,7 +6,8 @@ mutates the bytes and runs every reading command on the file through
 nothing; a clean exit writes nothing to stderr and an error exactly one
 ``error:`` line; a file that ``validate`` accepts is accepted by the other
 commands too, up to the enumeration guard; a clean exit prints no control
-character but the newline; and a case run again prints the same bytes.
+character but the newline and no bidirectional control; and a case run
+again prints the same bytes.
 Output goes to strict UTF-8 streams, as on a terminal, so a name that
 cannot be written fails here as it would there.
 """
@@ -23,6 +24,8 @@ from finflow.semiflow import ENUMERATION_LIMIT
 SEED = 2026
 CASES = 60
 ORACLE_NAMES = 6  # --oracle runs on files of at most this many names
+# Unicode's Bidi_Control set, which reorders the rest of a terminal line
+BIDI_CONTROLS = "\u061c\u200e\u200f\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069"
 
 SPACES = [families.chain(0), families.chain(1), families.chain(4), families.chain(6),
           families.antichain(3), families.pseudo_circle(), families.example_2_5(),
@@ -74,7 +77,8 @@ def _replace_name(piece):
 
 MUTATIONS = [_truncate, _flip, _duplicate_line, _reorder_lines, _nest,
              _replace_name(b'"\\ud800"'), _insert(b"\xff"), _insert(b"\xc3("),
-             _insert(b"\xef\xbb\xbf"), _insert(b"\x00"), _replace_name(b"1" * 5000)]
+             _insert(b"\xef\xbb\xbf"), _insert(b"\x00"), _replace_name(b"1" * 5000),
+             _insert("\u202e".encode())]
 
 
 def _case(rng):
@@ -124,7 +128,8 @@ def _contract_breaches(argv, result, accepted):
     elif code and not (err.startswith(b"error:") and err.count(b"\n") == 1
                        and err.endswith(b"\n")):
         breaches.append(f"exit {code} with stderr {err!r}")
-    controls = [c for c in out.decode() if c <= "\x1f" and c != "\n" or "\x7f" <= c <= "\x9f"]
+    controls = [c for c in out.decode() if c <= "\x1f" and c != "\n" or "\x7f" <= c <= "\x9f"
+                or c in BIDI_CONTROLS]
     if code == 0 and controls:
         breaches.append(f"exit 0 with a control character in stdout {out!r}")
     # ``accepted`` is the point count when ``validate`` accepts the file

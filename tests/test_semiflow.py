@@ -171,6 +171,19 @@ def test_law_checks_at_block_boundaries(k, position):
         assert {c.name for c in checks if not c.satisfied} == set(fails.split())
 
 
+def test_law_checks_compose_the_positive_table_after_time_zero():
+    """A flow whose time-0 table is not the identity and fails only the last
+    clause of ``_law_holds``: its time-1 table after its time-0 table,
+    (0, 1, 1), is not its time-1 table (0, 1, 0).
+    """
+    c3 = families.chain(3)
+    sf = OneTimeOff(c3, (0, 1, 0), 0, (0, 1, 1))
+    for flows in ([sf], [*enumerate_semiflows(c3), sf]):
+        checks = _law_checks(c3, flows)
+        assert checks == reference_law_checks(c3, flows)
+        assert {c.name for c in checks if not c.satisfied} == {"semigroup_law"}
+
+
 def law_holds(p, flows, name):
     """The verdict of the law ``name`` of ``_law_checks`` on ``flows``."""
     return {c.name: c.satisfied for c in _law_checks(p, flows)}[name]
@@ -453,9 +466,15 @@ def test_full_verification_all_pass():
     (reduction, "_witness", lambda p, pot, x: reduction.RemovalSequence(()),
      "potential_witness_retractions",
      "witness sequences yield strong deformation retractions moving the endpoint"),
+    # A's witness B, C, A reversed starts at A, which the replay refuses
+    (reduction, "_witness",
+     lambda p, pot, x, witness=reduction._witness: reduction.RemovalSequence(
+         reversed(witness(p, pot, x))),
+     "potential_witness_retractions",
+     "witness sequences yield strong deformation retractions moving the endpoint"),
     (semiflow, "brute_force_oracle", lambda p: brute_force_oracle(p)[1:],
      "oracle_agreement", "enumerator=7 maps, oracle=6 maps"),
-], ids=["witness", "oracle"])
+], ids=["witness", "reversed-witness", "oracle"])
 def test_cross_checks_fail_on_a_broken_reference(monkeypatch, module, name, broken, failed,
                                                  detail):
     monkeypatch.setattr(module, name, broken)
