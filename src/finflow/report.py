@@ -9,24 +9,38 @@ from .poset import elements_of
 SCHEMA_VERSION = 1
 
 
-class AnalysisReport(namedtuple(
-        "AnalysisReport",
-        "labels covers heights down_beat_points up_beat_points is_minimal core_labels"
-        " core_trace potential_points s_f nontrivial_semiflows bounds_checked schema",
-        defaults=(SCHEMA_VERSION,))):
+_Fields = namedtuple(
+    "AnalysisReport",
+    "labels covers heights down_beat_points up_beat_points is_minimal core_labels"
+    " core_trace potential_points s_f nontrivial_semiflows bounds_checked schema",
+    defaults=(SCHEMA_VERSION,))
+
+
+class AnalysisReport:
     """Everything the analyzer knows about one space, in JSON-able form.
 
-    A named tuple like ``BoundCheck``: fields are set by keyword or
-    position and compared one by one.  Semiflow maps are listed in
-    canonical (lexicographic value table) order with identity entries
-    omitted.
+    Fields are named once, in ``_Fields``, set by keyword or position, may
+    be reassigned, and are compared one by one.  Semiflow maps are listed in
+    canonical (lexicographic value table) order with identity entries omitted.
     """
 
-    __slots__ = ()
+    __slots__ = _Fields._fields
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(self.__slots__, _Fields(*args, **kwargs)):
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnalysisReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __repr__(self):
+        return f"AnalysisReport({', '.join(f'{k}={v!r}' for k, v in self.to_dict().items())})"
 
     def to_dict(self):
         """The fields by name; nested lists are shared, not copied."""
-        return self._asdict()
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, data):
@@ -34,10 +48,10 @@ class AnalysisReport(namedtuple(
             raise SchemaError("report must be an object")
         if data.get("schema") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema: {data.get('schema')!r}")
-        missing = set(cls._fields) - data.keys()
+        missing = set(cls.__slots__) - data.keys()
         if missing:
             raise SchemaError(f"report is missing fields: {sorted(missing)}")
-        return cls(**{k: v for k, v in data.items() if k in cls._fields})
+        return cls(**{k: v for k, v in data.items() if k in cls.__slots__})
 
     def to_json(self):
         return formats._encode_json(self.to_dict())
