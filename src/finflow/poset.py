@@ -22,12 +22,18 @@ def mask_of(indices):
 
 
 def elements_of(mask):
-    """Indices present in ``mask``, ascending."""
+    """Indices present in ``mask``, ascending.
+
+    The bits are taken from the top, each cleared as it is read, so the
+    mask only shrinks and no negated copy of it is made; the list is then
+    reversed.
+    """
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        x = mask.bit_length() - 1
+        out.append(x)
+        mask ^= 1 << x
+    out.reverse()
     return out
 
 
@@ -49,24 +55,26 @@ def _extremal(down, mask):
     return mask & ~dominated
 
 
-def _upper_rows(p):
-    """Per-point upper cover rows, as bitmasks, from the lower covers."""
-    rows = [0] * p.n
+def _cover_rows(p):
+    """The live cover rows of ``p``: each point's lower and upper covers, as bitmasks."""
+    upper = [0] * p.n
     for b, below in enumerate(p._lower):
+        bit = 1 << b
         for a in below:
-            rows[a] |= 1 << b
-    return rows
+            upper[a] |= bit
+    return list(map(mask_of, p._lower)), upper
 
 
 def _delete(p, lower, upper, x):
     """Delete ``x`` from the live cover rows; returns its lower and upper covers.
 
-    A new cover ``l < u`` appears where no live upper cover of ``l`` lies at
-    or below ``u``; the upper covers of ``x`` form an antichain, so no link
-    made here decides another.
+    The rows of ``x`` are emptied.  A new cover ``l < u`` appears where no
+    live upper cover of ``l`` lies at or below ``u``; the upper covers of
+    ``x`` form an antichain, so no link made here decides another.
     """
     bit = 1 << x
     below, above = elements_of(lower[x]), elements_of(upper[x])
+    lower[x] = upper[x] = 0
     for l in below:
         upper[l] ^= bit
     for u in above:
@@ -164,9 +172,12 @@ class Poset:
 
         A cover ``a < b`` cannot be implied through another element, so it
         is one of the given pairs: the lower covers of ``b`` are the maximal
-        members of its direct predecessors.  The closure pass already shows
-        the relation acyclic, so the poset is built without the
-        constructor's checks.
+        members of its direct predecessors, and a point with one direct
+        predecessor covers just that one.  Each point keeps its direct
+        successors as an index list, one entry per pair, and its in-degree
+        counts pairs too, so a repeated pair is counted on both sides.  The
+        closure pass already shows the relation acyclic, so the poset is
+        built without the constructor's checks.
         """
         labels = list(labels)
         index = {}
@@ -175,26 +186,28 @@ class Poset:
                 raise ValueError(f"duplicate label {lab!r}")
             index[lab] = len(index)
         n = len(labels)
-        adj = [0] * n
+        succ = [[] for _ in range(n)]
         pred = [0] * n
+        indeg = [0] * n
         for a, b in pairs:
-            if a not in index:
+            ia = index.get(a)
+            if ia is None:
                 raise UnknownLabelError(f"unknown label {a!r}")
-            if b not in index:
+            ib = index.get(b)
+            if ib is None:
                 raise UnknownLabelError(f"unknown label {b!r}")
-            ia, ib = index[a], index[b]
             if ia == ib:
                 raise CycleError(f"{a!r} < {b!r} violates antisymmetry")
-            adj[ia] |= 1 << ib
+            succ[ia].append(ib)
+            indeg[ib] += 1
             pred[ib] |= 1 << ia
         # One Kahn pass in topological order: every predecessor of y is
         # final before y is taken, so down[y] |= down[x] along each pair
         # gives the reflexive-transitive closure.
-        indeg = [m.bit_count() for m in pred]
         down = [1 << x for x in range(n)]
         ready = [x for x in range(n) if indeg[x] == 0]
         for x in ready:
-            for y in elements_of(adj[x]):
+            for y in succ[x]:
                 down[y] |= down[x]
                 indeg[y] -= 1
                 if indeg[y] == 0:
@@ -213,7 +226,7 @@ class Poset:
             i = cycle.index(min(cycle))
             a, b = labels[cycle[i]], labels[cycle[i - 1]]
             raise CycleError(f"{a!r} < {b!r} and {b!r} < {a!r}")
-        lower = [elements_of(_extremal(down, m)) for m in pred]
+        lower = [elements_of(_extremal(down, m) if m.bit_count() > 1 else m) for m in pred]
         return cls._from_lower(labels, down, lower, ready)
 
     # -- lookups ---------------------------------------------------------
@@ -264,7 +277,7 @@ class Poset:
         original index of the new element ``i``; labels are retained.  The
         points outside ``mask`` are deleted from the cover rows one by one.
         """
-        lower, upper = list(map(mask_of, self._lower)), _upper_rows(self)
+        lower, upper = _cover_rows(self)
         for x in elements_of(self.full_mask & ~mask):
             _delete(self, lower, upper, x)
         return self._restrict(mask, lower)
@@ -272,15 +285,19 @@ class Poset:
     def _restrict(self, mask, lower):
         """:meth:`induced` from ``lower[o]``, the mask of each kept point's lower covers in it.
 
-        Kept points come up in scan order, after their lower covers."""
+        ``new[o]`` is the new index of old point ``o``, -1 when it is
+        dropped.  Kept points come up in scan order, after their lower
+        covers."""
         old = elements_of(mask)
-        pos = {o: i for i, o in enumerate(old)}
+        new = [-1] * self.n
+        for i, o in enumerate(old):
+            new[o] = i
         rows, low = [0] * len(old), [()] * len(old)
         order = []
         for o in self._order:
-            if mask >> o & 1:
-                i = pos[o]
-                low[i] = covers = [pos[a] for a in elements_of(lower[o])]
+            i = new[o]
+            if i >= 0:
+                low[i] = covers = [new[a] for a in elements_of(lower[o])]
                 row = 1 << i
                 for a in covers:
                     row |= rows[a]

@@ -15,9 +15,11 @@ up the scan order and reads each value off those of the lower covers
 (``_max_below``).
 """
 
+from heapq import heapify, heappop, heappush
+
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
-from .poset import _delete, _upper_rows, mask_of
+from .poset import _cover_rows, _delete, mask_of
 
 SEARCH_LIMIT = 16
 
@@ -40,12 +42,8 @@ class RemovalSequence(tuple):
 
 
 def _single(rows, points):
-    """The ``points`` whose row holds exactly one bit."""
-    m = 0
-    for x in points:
-        if rows[x].bit_count() == 1:
-            m |= 1 << x
-    return m
+    """The ``points`` whose row holds exactly one bit, as a list."""
+    return [x for x in points if rows[x].bit_count() == 1]
 
 
 def _max_below(down, value, covers):
@@ -100,8 +98,12 @@ def down_beat_points(p):
 
 
 def up_beat_points(p):
-    """Points covered by exactly one point."""
-    return _single(_upper_rows(p), range(p.n))
+    """Points covered by exactly one point, counted off the lower covers."""
+    above = [0] * p.n
+    for below in p._lower:
+        for a in below:
+            above[a] += 1
+    return mask_of(x for x, k in enumerate(above) if k == 1)
 
 
 def beat_points(p):
@@ -124,17 +126,22 @@ def core(p):
     The cover rows of the live subspace are kept as deletions go, and a
     point is a down (up) beat point while its lower (upper) row holds one
     bit.  Only the rows of a deleted point's neighbours change, so only
-    they are tested again, and the core is built from the live lower rows.
+    they are tested again.  Those found beat go on a heap of indices, and
+    the smallest one popped that is still beat is deleted next (a deleted
+    point's rows are empty).  The core is built from the live lower rows.
     """
-    lower, upper = list(map(mask_of, p._lower)), _upper_rows(p)
-    down, up = _single(lower, range(p.n)), _single(upper, range(p.n))
+    lower, upper = _cover_rows(p)
+    todo = _single(lower, range(p.n)) + _single(upper, range(p.n))
+    heapify(todo)
     trace = []
-    while beats := down | up:
-        x = (beats & -beats).bit_length() - 1
+    while todo:
+        x = heappop(todo)
+        if lower[x].bit_count() != 1 and upper[x].bit_count() != 1:
+            continue
         below, above = _delete(p, lower, upper, x)
-        down = down & ~(1 << x | upper[x]) | _single(lower, above)
-        up = up & ~(1 << x | lower[x]) | _single(upper, below)
         trace.append(x)
+        for y in _single(upper, below) + _single(lower, above):
+            heappush(todo, y)
     if not trace:
         return p, trace
     return p._restrict(p.full_mask & ~mask_of(trace), lower)[0], trace
@@ -175,9 +182,13 @@ def validate_removal_sequence(p, seq):
     Returns the stage covers: entry ``i`` is the maximum of the strict
     down-set of ``seq[i]`` in the subspace where it is removed.
     """
+    return _replay(p, seq, *_cover_rows(p))
+
+
+def _replay(p, seq, lower, upper):
+    """:func:`validate_removal_sequence` on the live cover rows, which it changes."""
     if len(seq) != len(set(seq)):
         raise InvalidSequenceError("sequence repeats a point")
-    lower, upper = list(map(mask_of, p._lower)), _upper_rows(p)
     floor = -1
     covers = []
     for step, x in enumerate(seq, start=1):
@@ -203,7 +214,12 @@ def retraction_from_sequence(p, seq):
     stage maxima are never removed later, so the result is idempotent and
     below the identity.  The empty sequence gives the identity.
     """
+    return _retraction(p, seq, *_cover_rows(p))
+
+
+def _retraction(p, seq, lower, upper):
+    """:func:`retraction_from_sequence` on the live cover rows, which it changes."""
     values = list(range(p.n))
-    for x, y in zip(seq, validate_removal_sequence(p, seq)):
+    for x, y in zip(seq, _replay(p, seq, lower, upper)):
         values[x] = y
     return MonotoneMap(p, values)

@@ -32,7 +32,7 @@ from operator import itemgetter, ne
 from . import reduction
 from .errors import InvalidSequenceError, NegativeTimeError, check_size
 from .maps import MonotoneMap, _compose
-from .poset import elements_of
+from .poset import _cover_rows, elements_of
 
 ENUMERATION_LIMIT = 14
 ORACLE_LIMIT = 10
@@ -353,10 +353,13 @@ def full_verification(p, max_n=None):
         "potential_has_down_beat_below", ok,
         "every potential point is a down beat or has one strictly below"))
 
+    # each witness is replayed on its own copy of the cover rows, built once
     ok = True
+    lower, upper = _cover_rows(p)
     for x in elements_of(pot_mask):
         try:
-            r = reduction.retraction_from_sequence(p, reduction._witness(p, pot_mask, x))
+            r = reduction._retraction(p, reduction._witness(p, pot_mask, x),
+                                      list(lower), list(upper))
         except (InvalidSequenceError, ValueError):  # the replay refuses the witness
             r = None
         if r is None or not r.is_strong_deformation_retraction() or r.values[x] == x:

@@ -19,6 +19,19 @@ def label_covers(p):
     return {(p.labels[a], p.labels[b]) for a, b in p.covers}
 
 
+def test_elements_of_and_mask_of_match_the_definition():
+    rng = random.Random(29)
+    masks = [0, 1, 1 << 599, 1 << 4999, (1 << 600) - 1]
+    masks += [1 << i for i in (1, 2, 63, 64, 65, 300)]
+    masks += [rng.getrandbits(600) for _ in range(20)] + [rng.getrandbits(5000) for _ in range(5)]
+    for m in masks:
+        members = elements_of(m)
+        assert members == [i for i in range(m.bit_length()) if m >> i & 1]
+        assert members == sorted(set(members))
+        assert mask_of(members) == m
+        assert mask_of(reversed(members)) == m
+
+
 def test_from_relations_recovers_covers():
     p = families.example_3_1()
     assert p.n == 6
@@ -116,6 +129,9 @@ def test_closure_matches_fixpoint_reference(corpus, shuffled_spaces):
         rng.shuffle(pairs)
         q = Poset.from_relations(labels, pairs)
         assert q._down == p._down and list(q._down) == reference_down_rows(labels, pairs)
+        # a pair given twice is counted twice on both sides of the closure
+        # pass, so the linear extension the heights are read along holds
+        assert (q._lower, q.heights, q._order) == (p._lower, p.heights, p._order)
         if p.n > 1:
             # one extra pair b < a with a <= b closes a cycle
             a = rng.randrange(p.n)
@@ -149,8 +165,8 @@ def test_covers_from_the_lower_cover_pass(corpus, shuffled_spaces):
 def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
     # Each element's lower covers are the maximal members of its direct
     # predecessors, visited highest index first.  On a chain each element
-    # has one predecessor, so the build reads one row per element in either
-    # label order; searching the whole down-set, as the validating
+    # has one predecessor, which is its cover, so the build reads no row in
+    # either label order; searching the whole down-set, as the validating
     # constructor does, would read every row below each element on a
     # top-first chain, n(n-1)/2 in all.
     reads = []
@@ -172,6 +188,16 @@ def test_cover_search_reads_few_rows_on_bottom_first_labels(monkeypatch):
     t = Poset.from_relations(c.labels[::-1], pairs)
     assert t.covers == tuple((i, i - 1) for i in range(1, n))
     assert len(reads) <= 2 * n
+    # With the pair from two below as well, each element past the second has
+    # two direct predecessors, so its covers are searched.  Among those two
+    # the search reads at most both rows, in either label order; searching
+    # the whole down-set would read n(n-1)/2 rows on top-first labels.
+    pairs += [(c.labels[i], c.labels[i + 2]) for i in range(n - 2)]
+    for order in (c, t):
+        reads.clear()
+        q = Poset.from_relations(order.labels, pairs)
+        assert q == order and q.covers == order.covers
+        assert n - 2 <= len(reads) <= 2 * n
 
 
 def order_tables(p):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from finflow import families, reduction, report, semiflow
+from finflow import families, poset, reduction, report, semiflow
 from finflow.errors import NegativeTimeError, SizeLimitError
 from finflow.formats import parse_poset_text
 from finflow.maps import MonotoneMap
@@ -507,6 +507,22 @@ def test_one_removal_search_per_call(monkeypatch):
         calls.clear()
         report.analyze(p)
         assert len(calls) == 1
+
+
+def test_witnesses_replay_on_one_build_of_the_cover_rows(monkeypatch):
+    builds = []
+
+    def counted(p):
+        builds.append(p)
+        return poset._cover_rows(p)
+
+    monkeypatch.setattr(reduction, "_cover_rows", counted)
+    monkeypatch.setattr(semiflow, "_cover_rows", counted)
+    p = families.example_3_1()
+    assert reduction.potential_down_beat_points(p).bit_count() == 3
+    assert all(c.satisfied for c in full_verification(p))
+    # one build for the witnesses and one for the core check
+    assert len(builds) == 2
 
 
 def test_census_readers_agree(corpus_flows):
