@@ -68,13 +68,12 @@ def _cover_rows(p):
 def _delete(p, lower, upper, x):
     """Delete ``x`` from the live cover rows; returns its lower and upper covers.
 
-    The rows of ``x`` are emptied.  A new cover ``l < u`` appears where no
-    live upper cover of ``l`` lies at or below ``u``; the upper covers of
-    ``x`` form an antichain, so no link made here decides another.
+    A new cover ``l < u`` appears where no live upper cover of ``l`` lies at
+    or below ``u``; the upper covers of ``x`` form an antichain, so no link
+    made here decides another.
     """
     bit = 1 << x
     below, above = elements_of(lower[x]), elements_of(upper[x])
-    lower[x] = upper[x] = 0
     for l in below:
         upper[l] ^= bit
     for u in above:

@@ -15,8 +15,6 @@ up the scan order and reads each value off those of the lower covers
 (``_max_below``).
 """
 
-from heapq import heapify, heappop, heappush
-
 from .errors import InvalidSequenceError, check_size
 from .maps import MonotoneMap
 from .poset import _cover_rows, _delete, mask_of
@@ -42,8 +40,12 @@ class RemovalSequence(tuple):
 
 
 def _single(rows, points):
-    """The ``points`` whose row holds exactly one bit, as a list."""
-    return [x for x in points if rows[x].bit_count() == 1]
+    """The ``points`` whose row holds exactly one bit."""
+    m = 0
+    for x in points:
+        if rows[x].bit_count() == 1:
+            m |= 1 << x
+    return m
 
 
 def _max_below(down, value, covers):
@@ -126,22 +128,17 @@ def core(p):
     The cover rows of the live subspace are kept as deletions go, and a
     point is a down (up) beat point while its lower (upper) row holds one
     bit.  Only the rows of a deleted point's neighbours change, so only
-    they are tested again.  Those found beat go on a heap of indices, and
-    the smallest one popped that is still beat is deleted next (a deleted
-    point's rows are empty).  The core is built from the live lower rows.
+    they are tested again, and the core is built from the live lower rows.
     """
     lower, upper = _cover_rows(p)
-    todo = _single(lower, range(p.n)) + _single(upper, range(p.n))
-    heapify(todo)
+    down, up = _single(lower, range(p.n)), _single(upper, range(p.n))
     trace = []
-    while todo:
-        x = heappop(todo)
-        if lower[x].bit_count() != 1 and upper[x].bit_count() != 1:
-            continue
+    while beats := down | up:
+        x = (beats & -beats).bit_length() - 1
         below, above = _delete(p, lower, upper, x)
+        down = down & ~(1 << x | upper[x]) | _single(lower, above)
+        up = up & ~(1 << x | lower[x]) | _single(upper, below)
         trace.append(x)
-        for y in _single(upper, below) + _single(lower, above):
-            heappush(todo, y)
     if not trace:
         return p, trace
     return p._restrict(p.full_mask & ~mask_of(trace), lower)[0], trace
