@@ -169,6 +169,8 @@ def _witness(p, pot, x):
 
 def removal_sequence_for(p, y, max_n=None):
     """A witness sequence ending at ``y``, or None if ``y`` is not potential."""
+    if not 0 <= y < p.n:
+        raise ValueError(f"index {y} out of range")
     pot = potential_down_beat_points(p, max_n)
     return _witness(p, pot, y) if (pot >> y) & 1 else None
 

@@ -15,10 +15,13 @@ plus x, dropped to its down cover there.  The enumerator lists these sets
 with that test as its only rule, read off the values of x's lower covers
 (``reduction._tables``); monotonicity and idempotence follow.
 
-The counting checks read the semiflows, the down beat points D and the
-potential down beat points R*; ``_census`` derives all four once per call
-for ``verify_counting_results``, ``full_verification`` and ``report.analyze``.
-Both the counting checks and the laws of ``full_verification`` read the
+The counting checks come at two levels.  The count-level lines
+(``_count_checks``) read only the count s_f, the down beat points D and the
+potential down beat points R*; the flow-level lines (``_flow_checks``) read
+the semiflows themselves.  ``_census`` derives the semiflows, D and R* once
+per call for ``verify_counting_results``, ``full_verification`` and
+``report.analyze``, and joins the two levels in that order.
+Both the flow-level lines and the laws of ``full_verification`` read the
 flows point by point, many flows at once: the movable points off one row
 per point across all the flows, the laws off the columns of the state
 tables of a block of flows.
@@ -163,7 +166,8 @@ def _census(p, max_n=None, flows=None):
         flows = enumerate_semiflows(p, max_n=max_n)
     down = reduction.down_beat_points(p)
     pot = reduction.potential_down_beat_points(p, max_n=max_n)
-    return _Census(flows, down, pot, _counting_checks(p, flows, down, pot))
+    checks = _count_checks(p, len(flows), down, pot) + _flow_checks(p, flows, down, pot)
+    return _Census(flows, down, pot, checks)
 
 
 def verify_counting_results(p, max_n=None, flows=None):
@@ -171,41 +175,31 @@ def verify_counting_results(p, max_n=None, flows=None):
     return _census(p, max_n, flows).checks
 
 
-def _counting_checks(p, flows, d_mask, pot_mask):
-    s_f = len(flows)
-    d_size = d_mask.bit_count()
-    checks = []
-
-    ok = (d_mask == 0) == (s_f == 1)
-    checks.append(BoundCheck(
-        "d_empty_iff_single_semiflow", ok,
-        f"|D|={d_size}, s_f={s_f}"))
-
-    ok = s_f >= 2 ** d_size
-    checks.append(BoundCheck(
-        "count_at_least_two_pow_down_beats", ok,
-        f"s_f={s_f} vs 2^{d_size}={2 ** d_size}"))
-
+def _count_checks(p, s_f, d_mask, pot_mask):
+    """The counting lines that read the count ``s_f``, D and R*, and no flow."""
+    d = d_mask.bit_count()
     a_mask = _max_disjoint(p, pot_mask)
-    a_size = a_mask.bit_count()
-    ok = s_f >= 2 ** a_size
-    checks.append(BoundCheck(
-        "count_at_least_two_pow_antichain", ok,
-        f"s_f={s_f} vs 2^{a_size}={2 ** a_size} (A={p.labels_of(a_mask)})"))
+    a = a_mask.bit_count()
+    k = pot_mask.bit_count()
+    return [
+        BoundCheck("d_empty_iff_single_semiflow", (d == 0) == (s_f == 1), f"|D|={d}, s_f={s_f}"),
+        BoundCheck("count_at_least_two_pow_down_beats", s_f >= 2 ** d,
+                   f"s_f={s_f} vs 2^{d}={2 ** d}"),
+        BoundCheck("count_at_least_two_pow_antichain", s_f >= 2 ** a,
+                   f"s_f={s_f} vs 2^{a}={2 ** a} (A={p.labels_of(a_mask)})"),
+        BoundCheck("height_one_exact_count", s_f == 2 ** k, f"s_f={s_f} vs 2^{k}={2 ** k}")
+        if all(p.heights[x] == 1 for x in elements_of(pot_mask)) else
+        BoundCheck("height_one_exact_count", True,
+                   "not applicable: potential points above height 1"),
+    ]
 
-    pot_heights = [p.heights[x] for x in elements_of(pot_mask)]
-    if all(h == 1 for h in pot_heights):
-        k = len(pot_heights)
-        ok = s_f == 2 ** k
-        checks.append(BoundCheck(
-            "height_one_exact_count", ok,
-            f"s_f={s_f} vs 2^{k}={2 ** k}"))
-    else:
-        checks.append(BoundCheck(
-            "height_one_exact_count", True,
-            "not applicable: potential points above height 1"))
 
-    # one row per point x, with byte i non-zero when flow i moves x
+def _flow_checks(p, flows, d_mask, pot_mask):
+    """The counting lines that read the flows, off one row per point x.
+
+    Byte i of row x is non-zero when flow i moves x.  R* is what the
+    search's first, greedy flow moves, so no flow may move more.
+    """
     tables = [sf.values for sf in flows]
     rows = [int.from_bytes(bytes(map(ne, map(itemgetter(x), tables), itertools.repeat(x))),
                            "little") for x in range(p.n)]
@@ -218,22 +212,15 @@ def _counting_checks(p, flows, d_mask, pot_mask):
             alone &= ~rows[d]
         if alone:
             lone.append(((alone & -alone).bit_length(), x))
-    bad = None
+    detail = "every moved non-down-beat sits above a moved down beat point"
     if lone:
         bit, x = min(lone)
-        bad = (flows[bit // 8], x)
-    # R* is what the search's first, greedy flow moves, so no flow may move more
-    ok = moved == pot_mask
-    checks.append(BoundCheck(
-        "movable_equals_potential", ok,
-        f"movable={p.labels_of(moved)} potential={p.labels_of(pot_mask)}"))
-
-    checks.append(BoundCheck(
-        "moved_nondown_forces_moved_down_below", bad is None,
-        "every moved non-down-beat sits above a moved down beat point" if bad is None
-        else f"semiflow {bad[0].moves()!r} moves {p.labels[bad[1]]!r} alone"))
-
-    return checks
+        detail = f"semiflow {flows[bit // 8].moves()!r} moves {p.labels[x]!r} alone"
+    return [
+        BoundCheck("movable_equals_potential", moved == pot_mask,
+                   f"movable={p.labels_of(moved)} potential={p.labels_of(pot_mask)}"),
+        BoundCheck("moved_nondown_forces_moved_down_below", not lone, detail),
+    ]
 
 
 # The times at which full_verification samples each semiflow: the semigroup

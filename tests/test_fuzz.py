@@ -10,6 +10,12 @@ character but the newline and no bidirectional control; and a case run
 again prints the same bytes.
 Output goes to strict UTF-8 streams, as on a terminal, so a name that
 cannot be written fails here as it would there.
+
+A second run mutates the command line instead, on unmutated files: an
+option group dropped, repeated or swapped with another, an option's name
+or value dropped alone, the file argument missing, an unknown subcommand,
+or a ``--limit`` at or below the guards.  The same contract holds, less
+the one warning line that ``--limit`` prints once the options parse.
 """
 
 import io
@@ -19,7 +25,7 @@ from finflow import families
 from finflow.cli import run_cli
 from finflow.formats import write_poset_json, write_poset_text
 from finflow.prng import Xorshift64Star
-from finflow.semiflow import ENUMERATION_LIMIT
+from finflow.semiflow import ENUMERATION_LIMIT, ORACLE_LIMIT
 
 SEED = 2026
 CASES = 60
@@ -159,4 +165,88 @@ def test_cli_contract_on_mutated_files(tmp_path):
                 breaches.append("a second run printed other bytes")
             shown = " ".join(name if a == str(path) else a for a in argv)
             failures += [f"case {i} ({data[:40]!r}) {shown}: {b}" for b in breaches]
+    assert not failures, "\n".join(failures)
+
+
+ARGV_CASES = 100
+LIMIT_WARNING = b"warning: size guards set to "
+UNKNOWN_COMMANDS = ["verfy", "Analyze", "semiflow", "reduce", "", "-", "--list"]
+
+
+def _argv_groups(path, out, rng):
+    """One reading command on ``path`` with each option it takes, as groups of tokens."""
+    return [
+        [["validate"], [path]],
+        [["analyze"], [path], ["--json", out]],
+        [["verify"], [path]],
+        [["semiflows"], [path], ["--list"], ["--oracle"]],
+        [["semiflows"], [path], ["--count"]],
+        [["dot"], [path], ["--semiflow", str(rng.next_int(5) - 1)]],
+    ][rng.next_int(6)]
+
+
+def _drop_group(rng, groups, path):
+    if len(groups) > 1:
+        del groups[1 + rng.next_int(len(groups) - 1)]
+
+
+def _repeat_group(rng, groups, path):
+    i = rng.next_int(len(groups))
+    groups.insert(i, list(groups[i]))
+
+
+def _swap_groups(rng, groups, path):
+    i, j = rng.next_int(len(groups)), rng.next_int(len(groups))
+    groups[i], groups[j] = groups[j], groups[i]
+
+
+def _drop_token(rng, groups, path):
+    """An option's name or its value alone."""
+    pairs = [g for g in groups if len(g) == 2]
+    if pairs:
+        del pairs[rng.next_int(len(pairs))][rng.next_int(2)]
+
+
+def _missing_file(rng, groups, path):
+    groups[:] = [g for g in groups if g != [path]]
+
+
+def _unknown_command(rng, groups, path):
+    groups[0] = [UNKNOWN_COMMANDS[rng.next_int(len(UNKNOWN_COMMANDS))]]
+
+
+def _limit(rng, groups, path):
+    groups.insert(1 + rng.next_int(len(groups)), ["--limit", str(rng.next_int(ORACLE_LIMIT + 1))])
+
+
+ARGV_MUTATIONS = [_drop_group, _repeat_group, _swap_groups, _drop_token, _missing_file,
+                  _unknown_command, _limit]
+
+
+def test_cli_contract_on_mutated_argv(tmp_path):
+    rng = Xorshift64Star(SEED)
+    failures = []
+    for i in range(ARGV_CASES):
+        p = SPACES[rng.next_int(len(SPACES))]
+        json_file = rng.next_int(2)
+        data = (write_poset_json(p) if json_file else write_poset_text(p)).encode()
+        path = tmp_path / ("case.json" if json_file else "case.txt")
+        out = tmp_path / "report.json"
+        groups = _argv_groups(str(path), str(out), rng)
+        for _ in range(1 + (rng.next_int(4) == 0)):  # a second mutation in one case of four
+            ARGV_MUTATIONS[rng.next_int(len(ARGV_MUTATIONS))](rng, groups, str(path))
+        argv = [token for group in groups for token in group]
+        results = []
+        for _ in range(2):  # each run starts from the same files, as a call may write over one
+            path.write_bytes(data)
+            out.unlink(missing_ok=True)
+            results.append(_call(argv))
+        code, stdout, err = results[0]
+        if "--limit" in argv and err.startswith(LIMIT_WARNING):
+            err = err.partition(b"\n")[2]
+        breaches = _contract_breaches(argv, (code, stdout, err), None)
+        if results[1] != results[0]:
+            breaches.append("a second run printed other bytes")
+        shown = " ".join(path.name if a == str(path) else a for a in argv)
+        failures += [f"case {i} ({p.n} points) {shown!r}: {b}" for b in breaches]
     assert not failures, "\n".join(failures)

@@ -266,6 +266,15 @@ def test_removal_sequence_for():
     assert [p.heights[x] for x in seq_b] == [2]
 
 
+@pytest.mark.parametrize("y", [-1, 4, 99])
+def test_removal_sequence_for_refuses_points_out_of_range(y):
+    p = families.chain(4)
+    with pytest.raises(ValueError, match=rf"^index {y} out of range$"):
+        removal_sequence_for(p, y)
+    # c0 is a real point that no semiflow moves
+    assert removal_sequence_for(p, p.index_of("c0")) is None
+
+
 def test_removal_sequence_is_a_tuple_of_points():
     seq = RemovalSequence([4, 1, 3])
     assert len(seq) == 3 and seq.points == (4, 1, 3)

@@ -10,9 +10,9 @@ from finflow.formats import parse_poset_text
 from finflow.maps import MonotoneMap
 from finflow.poset import Poset, elements_of, mask_of
 from finflow.reduction import down_beat_points, potential_down_beat_points
-from finflow.semiflow import (_BLOCK, Semiflow, _census, _law_checks, _max_disjoint,
-                              brute_force_oracle, enumerate_semiflows,
-                              full_verification, verify_counting_results)
+from finflow.semiflow import (_BLOCK, ENUMERATION_LIMIT, Semiflow, _census, _count_checks,
+                              _flow_checks, _law_checks, _max_disjoint, brute_force_oracle,
+                              enumerate_semiflows, full_verification, verify_counting_results)
 
 from helpers import (disjoint_union, reference_counting_checks, reference_law_checks,
                      reference_movable, reference_product_oracle, reference_semiflow_tables,
@@ -32,6 +32,12 @@ EX31_NONTRIVIAL = [
 ]
 
 CHAIN3_TABLES = [(0, 0, 0), (0, 0, 2), (0, 1, 1), (0, 1, 2)]
+
+
+def two_chains(k):
+    """k disjoint 2-chains b{i} < t{i}: D = R* = A are the k tops, all at height one."""
+    labels = [lab for i in range(k) for lab in (f"b{i}", f"t{i}")]
+    return Poset.from_relations(labels, [(f"b{i}", f"t{i}") for i in range(k)])
 
 
 def test_semiflow_validation():
@@ -354,6 +360,55 @@ def test_counting_checks_match_reference(corpus_flows):
         assert verify_counting_results(p, flows=flows) == reference_counting_checks(p, flows)
 
 
+def _count_level(p, s_f):
+    return _count_checks(p, s_f, down_beat_points(p), potential_down_beat_points(p, max_n=p.n))
+
+
+# (space, s_f, |D|, A, k when R* sits at height one): s_f is 2^(n-1) on a
+# chain, n + 2 on x_n and the product of the parts' counts on a union
+ABOVE_GUARD = [
+    (families.chain(15), 2 ** 14, 14, ["c1"], None),
+    (families.chain(20), 2 ** 19, 19, ["c1"], None),
+    (families.realization_family(5), 5 + 2, 1, ["x0"], None),
+    (two_chains(8), 2 ** 8, 8, [f"t{i}" for i in range(8)], 8),
+]
+
+
+@pytest.mark.parametrize("p, s_f, d, a, k", ABOVE_GUARD,
+                         ids=["chain15", "chain20", "x_5", "chains2x8"])
+def test_count_checks_above_the_enumeration_guard(p, s_f, d, a, k):
+    """The count-level lines read a closed-form s_f where no flow can be listed."""
+    assert p.n > ENUMERATION_LIMIT
+    with pytest.raises(SizeLimitError):
+        enumerate_semiflows(p)
+    exact = ("not applicable: potential points above height 1" if k is None
+             else f"s_f={s_f} vs 2^{k}={2 ** k}")
+    assert _count_level(p, s_f) == [
+        ("d_empty_iff_single_semiflow", True, f"|D|={d}, s_f={s_f}"),
+        ("count_at_least_two_pow_down_beats", True, f"s_f={s_f} vs 2^{d}={2 ** d}"),
+        ("count_at_least_two_pow_antichain", True,
+         f"s_f={s_f} vs 2^{len(a)}={2 ** len(a)} (A={a})"),
+        ("height_one_exact_count", True, exact),
+    ]
+
+
+def test_count_checks_fail_on_a_wrong_count():
+    checks = _count_level(two_chains(8), 255)
+    assert checks[3] == ("height_one_exact_count", False, "s_f=255 vs 2^8=256")
+    assert {c.name for c in checks if not c.satisfied} == {
+        "count_at_least_two_pow_down_beats", "count_at_least_two_pow_antichain",
+        "height_one_exact_count"}
+
+
+@pytest.mark.parametrize("p", [families.chain(14), families.realization_family(4), two_chains(7)],
+                         ids=["chain14", "x_4", "chains2x7"])
+def test_count_and_flow_checks_join_to_the_reference(p):
+    flows = enumerate_semiflows(p)
+    d, pot = down_beat_points(p), potential_down_beat_points(p)
+    assert (_count_checks(p, len(flows), d, pot) + _flow_checks(p, flows, d, pot)
+            == reference_counting_checks(p, flows))
+
+
 def test_counting_checks_catch_broken_flows():
     """Hand-built tables that move a point outside R*, or a non-down-beat point alone.
 
@@ -414,8 +469,7 @@ def test_max_disjoint_antichain():
 
 def test_max_disjoint_antichain_of_many_disjoint_chains():
     # one branch-and-bound level per potential point: 1100 levels deep
-    labels = [lab for i in range(1100) for lab in (f"b{i}", f"t{i}")]
-    p = Poset.from_relations(labels, [(f"b{i}", f"t{i}") for i in range(1100)])
+    p = two_chains(1100)
     tops = mask_of(p.index_of(f"t{i}") for i in range(1100))
     assert _max_disjoint(p, potential_down_beat_points(p, max_n=p.n)) == tops
 
